@@ -123,11 +123,8 @@ class StructVec:
             )
 
     def vector(self) -> tuple[int, ...]:
-        """The vector the transfer matrices act on: 5 components for
-        k = 8, 3 (b, c, r) below."""
-        if self.k == 8:
-            return (self.b, self.c, self.u, self.v, self.r)
-        return (self.b, self.c, self.r)
+        """The vector the transfer matrices act on, ordered as census_components(k)."""
+        return tuple(getattr(self, name) for name in census_components(self.k))
 
     def cardinality(self) -> int:
         return self.b + self.u + self.r
@@ -139,6 +136,12 @@ class StructVec:
 def _check_chain_k(k: int) -> None:
     if k not in (4, 5, 6, 7, 8):
         raise DomainError(f"chain analysis supports k in 4..8, got {k}")
+
+
+def census_components(k: int) -> tuple[str, ...]:
+    """Structural-vector component names; k = 8 alone has step-2 families."""
+    _check_chain_k(k)
+    return ("b", "c", "u", "v", "r") if k == 8 else ("b", "c", "r")
 
 
 def _runs(values: Sequence[int], step: int) -> list[list[int]]:
@@ -208,7 +211,7 @@ def decompose(s: SymSet) -> list[Chain]:
 
 
 def structural_vector(chains: Iterable[Chain], k: int) -> StructVec:
-    """Census of a chain list; rejects B chains outside k = 8."""
+    """Census of a chain list; StructVec rejects B chains outside k = 8."""
     _check_chain_k(k)
     b = c = u = v = r = 0
     for ch in chains:
@@ -216,8 +219,6 @@ def structural_vector(chains: Iterable[Chain], k: int) -> StructVec:
             b += ch.length
             c += 1
         elif ch.kind == "B":
-            if k != 8:
-                raise DomainError(f"kind B chains cannot occur at k={k}")
             u += ch.length
             v += 1
         else:
@@ -303,13 +304,13 @@ _STEP_ROWS = {
     7: ((2, 4, 5), (0, 3, 2), (3, -2, 2)),
 }
 
-_SQUARE_ROWS = (
-    (0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0),
-    (0, 0, 1, 0, 1),
-)
+# Squaring doubles every exponent of 2: at k = 8 each A chain becomes a
+# B chain; below k = 8 there are no B chains and A chains fall apart
+# into singletons.
+_SQUARE_ROWS = {
+    8: ((0, 0, 0, 0, 0), (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 1)),
+    **{k: ((0, 0, 0), (0, 0, 0), (1, 0, 1)) for k in (4, 5, 6, 7)},
+}
 
 
 def transfer_matrix(k: int) -> TransferMatrix:
@@ -319,22 +320,21 @@ def transfer_matrix(k: int) -> TransferMatrix:
     return TransferMatrix(k, "step", _STEP_ROWS[k])
 
 
-def squaring_matrix() -> TransferMatrix:
+def squaring_matrix(k: int = 8) -> TransferMatrix:
     """Matrix mapping the structural vector of a set to that of its
-    square (power n to 2n).  Only the k = 8 form is defined."""
-    return TransferMatrix(8, "square", _SQUARE_ROWS)
+    square (power n to 2n)."""
+    _check_chain_k(k)
+    return TransferMatrix(k, "square", _SQUARE_ROWS[k])
 
 
 def cardinality_functional(k: int) -> tuple[int, ...]:
     """Row vector extracting |set| = b + u + r from a structural vector."""
-    _check_chain_k(k)
-    return (1, 0, 1, 0, 1) if k == 8 else (1, 0, 1)
+    return tuple(int(name in ("b", "u", "r")) for name in census_components(k))
 
 
 def initial_vector(k: int) -> tuple[int, ...]:
     """Structural vector of power 0, the singleton {1}."""
-    _check_chain_k(k)
-    return (0, 0, 0, 0, 1) if k == 8 else (0, 0, 1)
+    return tuple(int(name == "r") for name in census_components(k))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,6 @@ def verify_transfer(
     step = transfer_matrix(k)
     failures: list[TransferFailure] = []
     vectors: list[StructVec] = []
-    component_names = ("b", "c", "u", "v", "r") if k == 8 else ("b", "c", "r")
 
     current = SymSet.from_values(k, [1])
     prev_vec: tuple[int, ...] | None = None
@@ -451,12 +450,9 @@ def verify_transfer(
         vec = sv.vector()
         if prev_vec is not None:
             predicted = step.apply(prev_vec)
-            if predicted != vec:
-                for name, exp_c, act_c in zip(component_names, predicted, vec):
-                    if exp_c != act_c:
-                        failures.append(
-                            TransferFailure(k, n, "vector", name, exp_c, act_c)
-                        )
+            for name, exp_c, act_c in zip(census_components(k), predicted, vec):
+                if exp_c != act_c:
+                    failures.append(TransferFailure(k, n, "vector", name, exp_c, act_c))
         prev_vec = vec
         if n < n_max:
             current = sym_prod(sym_square(current), base)

@@ -18,8 +18,10 @@ import argparse
 import csv
 import json
 import sys
+from itertools import islice
 
 from .chains import (
+    census_components,
     chain_as_dict,
     chains_to_text,
     decompose,
@@ -35,8 +37,8 @@ from .errors import (
     SizeLimitError,
     TransportError,
 )
-from .oeis import SEQUENCE_IDS, crosscheck, fetch_bfile, parse_bfile
-from .recurrence import matrix_term_range, reduce_term, sparse_term, term
+from .oeis import catalogued_id, crosscheck, fetch_bfile, parse_bfile
+from .recurrence import METHODS, matrix_term_range, reduce_term, resolve_method, sparse_terms, term
 
 
 def _print_csv(header: list[str], rows: list[list]) -> None:
@@ -45,18 +47,32 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
     writer.writerows(rows)
 
 
+def _print_values(values: list[int], fmt: str, index: str, json_fields: dict) -> None:
+    """Print a sequence indexed from 0, in the formats seq and sparse share."""
+    if fmt == "plain":
+        print(" ".join(str(v) for v in values))
+    elif fmt == "csv":
+        _print_csv([index, "value"], [[i, v] for i, v in enumerate(values)])
+    elif fmt == "json":
+        print(json.dumps({**json_fields, "values": values}))
+    else:  # bfile
+        for i, v in enumerate(values):
+            print(f"{i} {v}")
+
+
 def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]:
-    if method == "brute" or (method == "auto" and k > 8):
+    engine = resolve_method(k, method)
+    if engine == "brute":
         return power_card_sequence(k, limit, max_elements=max_elements)
-    if k == 8 and method in ("auto", "matrix"):
-        try:
-            return [int(v) for v in matrix_term_range(limit)]
-        except DomainError:
-            pass  # overflow guard tripped; fall back to per-index calls
-    if k == 8 and method == "reduce":
+    if engine == "reduce":
         cache: dict[int, int] = {}
         return [reduce_term(n, cache=cache) for n in range(limit + 1)]
-    return [term(k, n, method, max_elements=max_elements) for n in range(limit + 1)]
+    if method in ("auto", "matrix") and 4 <= k <= 8:
+        try:
+            return [int(v) for v in matrix_term_range(limit, k)]
+        except DomainError:
+            pass  # overflow guard tripped; fall back to per-index calls
+    return [term(k, n, engine, max_elements=max_elements) for n in range(limit + 1)]
 
 
 def cmd_term(args) -> int:
@@ -74,29 +90,13 @@ def cmd_term(args) -> int:
 
 def cmd_seq(args) -> int:
     values = _seq_values(args.k, args.limit, args.method, args.max_elements)
-    if args.format == "plain":
-        print(" ".join(str(v) for v in values))
-    elif args.format == "csv":
-        _print_csv(["n", "value"], [[n, v] for n, v in enumerate(values)])
-    elif args.format == "json":
-        print(json.dumps({"k": args.k, "method": args.method, "values": values}))
-    else:  # bfile
-        for n, v in enumerate(values):
-            print(f"{n} {v}")
+    _print_values(values, args.format, "n", {"k": args.k, "method": args.method})
     return 0
 
 
 def cmd_sparse(args) -> int:
-    values = [sparse_term(args.k, t) for t in range(args.count)]
-    if args.format == "plain":
-        print(" ".join(str(v) for v in values))
-    elif args.format == "csv":
-        _print_csv(["t", "value"], [[t, v] for t, v in enumerate(values)])
-    elif args.format == "json":
-        print(json.dumps({"k": args.k, "values": values}))
-    else:  # bfile
-        for t, v in enumerate(values):
-            print(f"{t} {v}")
+    values = list(islice(sparse_terms(args.k), max(args.count, 0)))
+    _print_values(values, args.format, "t", {"k": args.k})
     return 0
 
 
@@ -127,8 +127,7 @@ def cmd_structure(args) -> int:
     if args.format == "plain":
         print(sv)
     elif args.format == "csv":
-        names = ["b", "c", "u", "v", "r"] if args.k == 8 else ["b", "c", "r"]
-        _print_csv(names, [list(sv.vector())])
+        _print_csv(list(census_components(args.k)), [list(sv.vector())])
     else:  # json
         print(
             json.dumps(
@@ -190,6 +189,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_oeis(args) -> int:
+    sequence_id = catalogued_id(args.k)  # before any file or network access
     if args.bfile is not None:
         try:
             text = open(args.bfile, "r", encoding="utf-8").read()
@@ -197,11 +197,7 @@ def cmd_oeis(args) -> int:
             raise DomainError(f"cannot read b-file {args.bfile}: {exc}") from exc
         bfile = parse_bfile(text)
     else:
-        bfile = fetch_bfile(
-            SEQUENCE_IDS.get(args.k, "A000000"),
-            allow_network=True,
-            cache_dir=args.cache_dir,
-        )
+        bfile = fetch_bfile(sequence_id, allow_network=True, cache_dir=args.cache_dir)
     limit = args.limit
     if limit is None:
         limit = bfile.contiguous_limit_from(0)
@@ -215,7 +211,7 @@ def cmd_oeis(args) -> int:
             json.dumps(
                 {
                     "k": report.k,
-                    "sequence_id": report.sequence_id or SEQUENCE_IDS.get(args.k),
+                    "sequence_id": report.sequence_id or sequence_id,
                     "limit": report.limit,
                     "ok": report.ok,
                     "mismatch": report.mismatch,
@@ -254,11 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("term", help="one sequence term")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True, help="dense index n")
-    p.add_argument(
-        "--method",
-        choices=["auto", "brute", "fast", "matrix", "reduce"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=METHODS, default="auto")
     _add_format(p)
     _add_cap(p)
     p.set_defaults(func=cmd_term)
@@ -266,11 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="terms 0..limit")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, required=True, help="last dense index, inclusive")
-    p.add_argument(
-        "--method",
-        choices=["auto", "brute", "fast", "matrix", "reduce"],
-        default="auto",
-    )
+    p.add_argument("--method", choices=METHODS, default="auto")
     _add_format(p)
     _add_cap(p)
     p.set_defaults(func=cmd_seq)

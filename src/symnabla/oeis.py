@@ -33,6 +33,14 @@ from .recurrence import term
 #: k -> OEIS id of the power-cardinality sequence, where catalogued.
 SEQUENCE_IDS = {1: "A000012", 2: "A001316", 3: "A048883", 4: "A253064"}
 
+
+def catalogued_id(k: int) -> str:
+    """The OEIS id for k; DomainError outside the catalogued k = 1..4."""
+    if k not in SEQUENCE_IDS:
+        raise DomainError(f"no catalogued sequence for k={k}; supported: 1..4")
+    return SEQUENCE_IDS[k]
+
+
 _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
 
 
@@ -143,8 +151,7 @@ def crosscheck(k: int, bfile: BFile, limit: int) -> CrosscheckReport:
     does not cover 0..limit raises CoverageError naming the gap; the
     report carries the first mismatch, if any.
     """
-    if k not in SEQUENCE_IDS:
-        raise DomainError(f"no catalogued sequence for k={k}; supported: 1..4")
+    catalogued_id(k)
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     listed = bfile.as_dict()

@@ -6,15 +6,15 @@ expansion of n without building any sets:
 
 * ``sparse_term(k, t)``: the subsequence at the all-ones indices
   2**t - 1, which satisfies a short linear recurrence for each
-  k in 2..8 (seeds and coefficients hardcoded below);
+  k in 2..8 (``_SPARSE_RECURRENCES``, the one table of these facts);
 * ``fast_term(k, n)`` for k <= 7: the term is the product of sparse
   terms over the maximal runs of 1-bits of n.  The underlying
   multiplicativity breaks at k = 8 (n = 11 is the smallest
   counterexample), so k = 8 is rejected;
-* ``matrix_term(n)`` for k = 8: a 5-state matrix word read off the bits
-  of n, most significant first - one fixed matrix per 1-bit, another
-  per 0-bit - applied to the initial state, then contracted with the
-  cardinality functional;
+* ``matrix_term(n, k)`` for k in 4..8: a 5-state (k = 8) or 3-state
+  matrix word read off the bits of n, most significant first - the
+  step matrix per 1-bit, the squaring matrix per 0-bit - applied to
+  the initial state, then contracted with the cardinality functional;
 * ``reduce_term(n)`` for k = 8: a memoised rewriting system on binary
   expansions with base cases {0, 1, 3} and five core rules (plus two
   optional shortcut rules that never change values).  It can return the
@@ -28,8 +28,11 @@ the brute oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import islice
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,24 +67,26 @@ _SPARSE_RECURRENCES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-def sparse_term(k: int, t: int) -> int:
-    """term(k, 2**t - 1), by the hardcoded linear recurrence."""
+def sparse_terms(k: int) -> Iterator[int]:
+    """term(k, 2**t - 1) for t = 0, 1, 2, ... without end, by one walk of
+    the linear recurrence.  A k outside 2..8 raises on the first term."""
     if k not in _SPARSE_RECURRENCES:
         raise DomainError(f"sparse recurrences cover k in 2..8, got {k}")
+    seeds, coeffs = _SPARSE_RECURRENCES[k]
+    yield from seeds
+    window = list(seeds[-len(coeffs) :])  # oldest first, so coeffs pair reversed
+    reversed_coeffs = coeffs[::-1]
+    while True:
+        window.append(sum(map(mul, reversed_coeffs, window)))
+        del window[0]
+        yield window[-1]
+
+
+def sparse_term(k: int, t: int) -> int:
+    """term(k, 2**t - 1), by the linear recurrence."""
     if t < 0:
         raise DomainError(f"index must be >= 0, got {t}")
-    seeds, coeffs = _SPARSE_RECURRENCES[k]
-    if t < len(seeds):
-        return seeds[t]
-    window = list(seeds[-len(coeffs) :])
-    for _ in range(t - len(seeds) + 1):
-        window.append(sum(c * w for c, w in zip(coeffs, reversed(window))))
-        window.pop(0)
-    return window[-1]
-
-
-def _one_run_lengths(n: int) -> list[int]:
-    return [len(run) for run in bin(n)[2:].split("0") if run]
+    return next(islice(sparse_terms(k), t, None))
 
 
 def fast_term(k: int, n: int) -> int:
@@ -100,9 +105,12 @@ def fast_term(k: int, n: int) -> int:
         raise DomainError(f"index must be >= 0, got {n}")
     if k == 1:
         return 1
+    runs = Counter(len(run) for run in bin(n)[2:].split("0") if run)
     result = 1
-    for length in _one_run_lengths(n):
-        result *= sparse_term(k, length)
+    # one walk of the recurrence, as far as the longest run
+    for length, value in zip(range(max(runs, default=0) + 1), sparse_terms(k)):
+        if length in runs:
+            result *= value ** runs[length]
     return result
 
 
@@ -123,56 +131,52 @@ def gap_split_check(k: int, alpha: int, beta: int, s: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Matrix word (k = 8)
-
-_STEP8 = transfer_matrix(8).rows
-_SQUARE8 = squaring_matrix().rows
-_FUNCTIONAL8 = cardinality_functional(8)
-_INITIAL8 = initial_vector(8)
+# Matrix word (k = 4..8)
 
 
-def matrix_state(n: int) -> tuple[int, ...]:
-    """The 5-component structural state at index n, from the bit word.
+def matrix_state(n: int, k: int = 8) -> tuple[int, ...]:
+    """The structural state at index n, from the bit word.
 
     Bits of n are read most significant first; a 1-bit applies the step
     matrix, a 0-bit the squaring matrix, starting from the initial
-    state.
+    state.  5 components at k = 8, 3 for k in 4..7.
     """
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    v = _INITIAL8
+    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
+    v = initial_vector(k)
     for ch in bin(n)[2:]:
-        v = mat_vec(_STEP8 if ch == "1" else _SQUARE8, v)
+        v = mat_vec(step if ch == "1" else square, v)
     return v
 
 
-def matrix_term(n: int) -> int:
-    """term(8, n) by the matrix word, exact for any n >= 0."""
-    v = matrix_state(n)
-    return v[0] + v[2] + v[4]
+def matrix_term(n: int, k: int = 8) -> int:
+    """term(k, n) by the matrix word, exact for any n >= 0, k in 4..8."""
+    return sum(f * x for f, x in zip(cardinality_functional(k), matrix_state(n, k)))
 
 
-def matrix_term_range(limit: int) -> np.ndarray:
-    """term(8, n) for all n in 0..limit, as an int64 array.
+def matrix_term_range(limit: int, k: int = 8) -> np.ndarray:
+    """term(k, n) for all n in 0..limit and k in 4..8, as an int64 array.
 
     A level-by-level dynamic program over the bit words: state(2m) and
     state(2m+1) both derive from state(m).  int64 is provably safe as
-    long as 32 * sparse_term(8, bits(limit)) fits, since every state
+    long as 32 * sparse_term(k, bits(limit)) fits, since every state
     component is bounded by the all-ones term of the same bit length;
     beyond that the call is refused (use matrix_term per index).
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     bits = int(limit).bit_length()
-    if 32 * sparse_term(8, max(bits, 1)) >= 2**63:
+    if 32 * sparse_term(k, max(bits, 1)) >= 2**63:
         raise DomainError(
             f"values near 2**{bits} bits overflow the int64 sweep; "
             "call matrix_term per index instead"
         )
-    step_t = np.array(_STEP8, dtype=np.int64).T
-    square_t = np.array(_SQUARE8, dtype=np.int64).T
-    states = np.zeros((limit + 1, 5), dtype=np.int64)
-    states[0] = _INITIAL8
+    step_t = np.array(transfer_matrix(k).rows, dtype=np.int64).T
+    square_t = np.array(squaring_matrix(k).rows, dtype=np.int64).T
+    initial = initial_vector(k)
+    states = np.zeros((limit + 1, len(initial)), dtype=np.int64)
+    states[0] = initial
     level = 1
     while level <= limit:
         hi = min(2 * level - 1, limit)
@@ -182,20 +186,21 @@ def matrix_term_range(limit: int) -> np.ndarray:
         states[idx[odd]] = parents[odd] @ step_t
         states[idx[~odd]] = parents[~odd] @ square_t
         level *= 2
-    return states @ np.array(_FUNCTIONAL8, dtype=np.int64)
+    return states @ np.array(cardinality_functional(k), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Rewriting system on binary expansions (k = 8)
 
-_BASE_VALUES = {0: 1, 1: 8, 3: 48}
+# Base values and the 111-block rule are the k = 8 sparse recurrence.
+_BASE_VALUES = {(1 << t) - 1: v for t, v in enumerate(_SPARSE_RECURRENCES[8][0])}
 
 # Linear rules: child coefficients.  The gap split multiplies instead.
 _RULE_COEFFS = {
     "strip_zeros": (1,),
     "suffix_01": (8,),
     "suffix_011": (1, 40),
-    "block_111": (7, -2, -24),
+    "block_111": _SPARSE_RECURRENCES[8][1],
     "suffix_011011": (47, -40),
     "suffix_101011": (9, -8),
     "prefix_10101": (9, -8),
@@ -375,7 +380,21 @@ def reduce_term(
 # ---------------------------------------------------------------------------
 # Dispatch
 
-_METHODS = ("auto", "brute", "fast", "matrix", "reduce")
+METHODS = ("auto", "brute", "fast", "matrix", "reduce")
+
+
+def resolve_method(k: int, method: str) -> str:
+    """The engine term(k, n, method) runs, with "auto" resolved.  The
+    fast and matrix engines check their own range of k."""
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    if not 1 <= k <= MAX_K:
+        raise DomainError(f"k must be in 1..{MAX_K}, got {k}")
+    if method == "auto":
+        return "fast" if k <= 7 else ("matrix" if k == 8 else "brute")
+    if method == "reduce" and k != 8:
+        raise DomainError(f"method 'reduce' is defined only for k=8, got k={k}")
+    return method
 
 
 def term(
@@ -387,26 +406,20 @@ def term(
 ) -> int:
     """Cardinality of the n-th symmetric power of {1, ..., k}.
 
-    method "auto" picks the run-product formula for k <= 7, the matrix
-    word for k = 8, and the brute set oracle otherwise.  "matrix" and
-    "reduce" exist only at k = 8; "fast" only below it.
+    method "auto" picks the run-product formula for k <= 7 (faster than
+    the matrix word at a single huge index), the matrix word for k = 8
+    and the brute set oracle otherwise.  "matrix" covers k = 4..8,
+    "reduce" only k = 8 and "fast" only k <= 7.
     """
-    if method not in _METHODS:
-        raise DomainError(f"unknown method {method!r}, expected one of {_METHODS}")
-    if not 1 <= k <= MAX_K:
-        raise DomainError(f"k must be in 1..{MAX_K}, got {k}")
+    method = resolve_method(k, method)
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    if method == "auto":
-        method = "fast" if k <= 7 else ("matrix" if k == 8 else "brute")
     if method == "brute":
         return brute_card(k, n, max_elements=max_elements)
     if method == "fast":
         return fast_term(k, n)
-    if k != 8:
-        raise DomainError(f"method {method!r} is defined only for k=8, got k={k}")
     if method == "matrix":
-        return matrix_term(n)
+        return matrix_term(n, k)
     return reduce_term(n)
 
 
@@ -430,16 +443,22 @@ class IdentityReport:
         )
 
 
+def _combination(coeffs: Sequence[int], rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """sum(coeffs[i] * rows[i]), componentwise."""
+    return tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows))
+
+
 def matrix_identity_suite() -> IdentityReport:
     """Exact integer checks of the squaring/step matrix interplay (k=8).
 
     These identities are what let the matrix word skip the zero bits of
-    n in blocks and are the backbone of the shortcut rewriting rules.
+    n in blocks and are the backbone of the rewriting rules: the
+    coefficients checked are the ones ``_RULE_COEFFS`` holds.
     """
-    step = _STEP8
-    square = _SQUARE8
-    functional = _FUNCTIONAL8
-    initial = _INITIAL8
+    step = transfer_matrix(8).rows
+    square = squaring_matrix(8).rows
+    functional = cardinality_functional(8)
+    initial = initial_vector(8)
     dim = len(step)
 
     def dot(u, v):
@@ -464,17 +483,16 @@ def matrix_identity_suite() -> IdentityReport:
             vec_mat(functional, square) == functional,
         ),
         (
-            "one step then squaring scales the functional by 8",
-            vec_mat(r1, square) == tuple(8 * x for x in functional),
+            "one step then squaring is the suffix_01 rule on the functional",
+            vec_mat(r1, square) == _combination(_RULE_COEFFS["suffix_01"], [functional]),
         ),
         (
-            "two steps then squaring equals one step plus 40 functionals",
-            vec_mat(r2, square)
-            == tuple(a + 40 * b for a, b in zip(r1, functional)),
+            "two steps then squaring is the suffix_011 rule on one step and the functional",
+            vec_mat(r2, square) == _combination(_RULE_COEFFS["suffix_011"], [r1, functional]),
         ),
         (
-            "three steps collapse by the depth-3 recurrence on the functional",
-            r3 == tuple(7 * a - 2 * b - 24 * c for a, b, c in zip(r2, r1, functional)),
+            "three steps collapse by the block_111 rule, the depth-3 recurrence",
+            r3 == _combination(_RULE_COEFFS["block_111"], [r2, r1, functional]),
         ),
         (
             "squaring matrix squared is the rank-one projector onto the initial state",
@@ -510,30 +528,17 @@ def matrix_identity_suite() -> IdentityReport:
     return IdentityReport(tuple(entries))
 
 
-# Characteristic polynomials of the sparse recurrences, high degree first.
-_ANNIHILATOR_COEFFS = {
-    4: (1, -2, -4),
-    5: (1, -3, -6),
-    6: (1, -5, 0),
-    7: (1, -6, -1),
-    8: (1, -7, 2, 24),
-}
-
-
 def annihilation_check(k: int) -> bool:
-    """Does the sparse recurrence's characteristic polynomial kill the
-    cardinality functional against the step matrix?  Exact, k in 4..8."""
-    if k not in _ANNIHILATOR_COEFFS:
-        raise DomainError(f"annihilation checks cover k in 4..8, got {k}")
-    step = transfer_matrix(k).rows
+    """Does the sparse recurrence's characteristic polynomial, padded with
+    zeros to degree len(seeds) because only the terms after the seeds obey
+    it, kill the cardinality functional against the step matrix?  Exact,
+    k in 4..8."""
+    step = transfer_matrix(k).rows  # rejects k outside 4..8
     functional = cardinality_functional(k)
-    coeffs = _ANNIHILATOR_COEFFS[k]
+    seeds, recurrence = _SPARSE_RECURRENCES[k]
+    coeffs = (1,) + tuple(-c for c in recurrence)
+    coeffs += (0,) * (len(seeds) + 1 - len(coeffs))
     rows = [functional]
     for _ in range(len(coeffs) - 1):
         rows.append(vec_mat(rows[-1], step))
-    dim = len(functional)
-    acc = [0] * dim
-    for coeff, row in zip(coeffs, reversed(rows)):
-        for j in range(dim):
-            acc[j] += coeff * row[j]
-    return all(x == 0 for x in acc)
+    return not any(_combination(coeffs, reversed(rows)))

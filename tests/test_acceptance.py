@@ -132,6 +132,8 @@ def test_03_method_agreement():
             fast = [fast_term(k, n) for n in range(513)]
             if fast != brute:
                 bad.append(f"fast k={k} diverges from brute")
+            if k >= 4 and [int(x) for x in matrix_term_range(512, k=k)] != brute:
+                bad.append(f"matrix k={k} diverges from brute")
         else:
             swept = [int(x) for x in matrix_term_range(512)]
             if swept != brute:

@@ -21,7 +21,7 @@ from symnabla.chains import (
     transfer_matrix,
     verify_transfer,
 )
-from symnabla.core import ElementVec, SymSet, make_base_set, sym_power
+from symnabla.core import ElementVec, SymSet, make_base_set, sym_power, sym_prod, sym_square
 from symnabla.errors import DomainError
 
 # the full 18-chain breakdown of the cube of the k = 8 base set,
@@ -163,6 +163,7 @@ def test_transfer_matrix_contents():
     )
     for k in (4, 5, 6, 7):
         assert transfer_matrix(k).dim == 3
+        assert squaring_matrix(k).rows == ((0, 0, 0), (0, 0, 0), (1, 0, 1))
     with pytest.raises(DomainError):
         transfer_matrix(3)
     with pytest.raises(DomainError):
@@ -197,6 +198,23 @@ def test_step_matrix_advances_structural_vectors():
         2,
         2,
     )
+
+
+def test_squaring_and_step_matrices_replay_dense_powers():
+    """For every power S_n with n < 32, the squaring matrix predicts the
+    census of S_n**2 and the step matrix that of S_n**2 * base, exactly
+    the two moves the matrix word makes per 0-bit and 1-bit."""
+    for k in (4, 5, 6, 7, 8):
+        base = make_base_set(k)
+        square, step = squaring_matrix(k), transfer_matrix(k)
+        for n in range(32):
+            power = sym_power(k, n)
+            vec = structural_vector(decompose(power), k).vector()
+            squared = sym_square(power)
+            got = structural_vector(decompose(squared), k).vector()
+            assert got == square.apply(vec), (k, n)
+            got = structural_vector(decompose(sym_prod(squared, base)), k).vector()
+            assert got == step.apply(vec), (k, n)
 
 
 def test_functional_reads_cardinality():

@@ -3,17 +3,27 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import symnabla
 from symnabla.cli import build_parser, main
 from symnabla.errors import TransportError
 from symnabla.oeis import parse_bfile
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# child interpreters import the same symnabla as this process, installed or not
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(symnabla.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +96,17 @@ def test_sparse_bfile_indexes_by_exponent(capsys):
         capsys, "sparse", "--k", "8", "--count", "3", "--format", "bfile"
     )
     assert out == "0 1\n1 8\n2 48\n"
+
+
+def test_sparse_csv_and_json(capsys):
+    code, out, _ = run_cli(
+        capsys, "sparse", "--k", "6", "--count", "4", "--format", "csv"
+    )
+    assert code == 0 and out == "t,value\n0,1\n1,6\n2,30\n3,150\n"
+    code, out, _ = run_cli(
+        capsys, "sparse", "--k", "8", "--count", "3", "--format", "json"
+    )
+    assert code == 0 and out == '{"k": 8, "values": [1, 8, 48]}\n'
 
 
 def test_chains_plain(capsys):
@@ -250,6 +271,18 @@ def test_oeis_fetch_without_network_exits_2(capsys, tmp_path, monkeypatch):
     assert "no network in tests" in err
 
 
+def test_oeis_fetch_rejects_uncatalogued_k_before_io(capsys, tmp_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fetch_bfile must not be called for an uncatalogued k")
+
+    monkeypatch.setattr("symnabla.cli.fetch_bfile", forbidden)
+    code, out, err = run_cli(
+        capsys, "oeis", "--k", "5", "--fetch", "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no catalogued sequence for k=5")
+
+
 def test_oeis_fetch_uses_cache(capsys, tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -333,6 +366,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "symnabla", "term", "--k", "8", "--n", "27"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "2216\n"
@@ -343,6 +377,7 @@ def test_console_script_help():
         [sys.executable, "-m", "symnabla", "--help"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     for name in ("term", "seq", "sparse", "chains", "structure", "verify", "reduce"):

@@ -151,6 +151,10 @@ def test_matrix_term_range_agrees_with_scalar():
     assert arr.dtype == np.int64
     assert len(arr) == 2049
     assert [int(x) for x in arr] == [matrix_term(n) for n in range(2049)]
+    for k in (4, 5, 6, 7):
+        scalar = [matrix_term(n, k) for n in range(2049)]
+        assert [int(x) for x in matrix_term_range(2048, k)] == scalar
+        assert scalar == [fast_term(k, n) for n in range(2049)]
 
 
 def test_matrix_term_range_overflow_guard():
@@ -161,6 +165,13 @@ def test_matrix_term_range_overflow_guard():
         matrix_term_range(1 << 23)
     with pytest.raises(DomainError):
         matrix_term_range(-1)
+    # the guard is per k: k = 7 refuses 23 bits, k = 4 only 35
+    with pytest.raises(DomainError):
+        matrix_term_range(1 << 22, 7)
+    with pytest.raises(DomainError):
+        matrix_term_range(1 << 34, 4)
+    with pytest.raises(DomainError):
+        matrix_term_range(8, 3)
 
 
 def test_doubling_invariance():
@@ -273,8 +284,12 @@ def test_term_dispatch():
 def test_term_dispatch_errors():
     with pytest.raises(DomainError):
         term(8, 3, method="fast")
+    # the matrix word covers k = 4..8 only
+    assert term(7, 3, method="matrix") == brute_card(7, 3)
     with pytest.raises(DomainError):
-        term(7, 3, method="matrix")
+        term(3, 3, method="matrix")
+    with pytest.raises(DomainError):
+        term(9, 3, method="matrix")
     with pytest.raises(DomainError):
         term(7, 3, method="reduce")
     with pytest.raises(DomainError):
