@@ -17,6 +17,7 @@ from .chains import (
     TransferMatrix,
     TransferReport,
     cardinality_functional,
+    census,
     chain_as_dict,
     chains_to_text,
     decompose,
@@ -106,6 +107,7 @@ __all__ = [
     "brute_card",
     "cache_dir_path",
     "cardinality_functional",
+    "census",
     "chain_as_dict",
     "chains_to_text",
     "crosscheck",

@@ -22,6 +22,12 @@ and that distinct chains never sit close enough to concatenate (equal
 odd parts must differ in the exponent of 2 by at least 3 for k = 8,
 at least 2 below).
 
+One numpy pass over a set's exponent rows (``_chain_runs``) finds every
+run as arrays of group, starting exponent of 2 and length.  The census
+(``census``) and all of ``verify_transfer``'s checks are computed from
+those arrays; ``Chain`` objects are built only by ``decompose``, for
+listing chains.
+
 Matrix arithmetic in this module is exact: plain Python integers in
 nested tuples.
 """
@@ -60,14 +66,6 @@ class Chain:
     @property
     def base_value(self) -> int:
         return self.base.value
-
-    def member_exponents(self) -> list[tuple[int, ...]]:
-        """Exponent rows of every member, smallest first."""
-        step = _STEP_RATIO[self.kind]
-        e0 = self.base.exponents
-        return [
-            (e0[0] + j * step,) + e0[1:] for j in range(self.length)
-        ] if step else [e0]
 
     def values(self) -> list[int]:
         ratio = 2 ** _STEP_RATIO[self.kind] if self.kind != "C" else 1
@@ -144,15 +142,60 @@ def census_components(k: int) -> tuple[str, ...]:
     return ("b", "c", "u", "v", "r") if k == 8 else ("b", "c", "r")
 
 
-def _runs(values: Sequence[int], step: int) -> list[list[int]]:
-    """Maximal runs of the given step inside an ascending sequence."""
-    runs: list[list[int]] = []
-    for v in values:
-        if runs and v == runs[-1][-1] + step:
-            runs[-1].append(v)
-        else:
-            runs.append([v])
-    return runs
+_KINDS: tuple[ChainKind, ...] = ("A", "B", "C")
+
+# Per kind: group index, starting exponent of 2 and length of each run.
+_RunArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _split(group: np.ndarray, e2: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each maximal run of neighbours in one
+    group whose exponent of 2 rises by step."""
+    brk = np.ones(len(e2), dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=brk[1:])
+    brk[1:] |= (e2[1:] - e2[:-1]) != step
+    starts = np.flatnonzero(brk)
+    return starts, np.diff(starts, append=len(e2))
+
+
+def _chain_runs(s: SymSet) -> tuple[np.ndarray, dict[ChainKind, _RunArrays]]:
+    """Split a power set into runs: A phase first, then B, then C.
+
+    A set's canonical row order (last column most significant) is
+    already the sort by (odd part, exponent of 2), so a group is a block
+    of rows with equal odd part.  Returns the odd-part rows of the
+    groups and, per kind, the run arrays; kind B is empty below k = 8.
+    """
+    _check_chain_k(s.k)
+    if len(s) == 0:
+        raise DomainError("cannot decompose the empty set")
+    exps = s.exponents
+    rest = exps[:, 1:]
+    new_group = np.ones(len(exps), dtype=bool)
+    np.any(rest[1:] != rest[:-1], axis=1, out=new_group[1:])
+    group = np.cumsum(new_group) - 1
+    e2 = exps[:, 0]
+    empty = np.empty(0, dtype=np.int64)
+    runs: dict[ChainKind, _RunArrays] = {"B": (empty, empty, empty)}
+    for kind in ("A", "B") if s.k == 8 else ("A",):
+        starts, lengths = _split(group, e2, _STEP_RATIO[kind])
+        chain = lengths >= 2
+        runs[kind] = (group[starts[chain]], e2[starts[chain]], lengths[chain])
+        left = np.repeat(~chain, lengths)
+        group, e2 = group[left], e2[left]
+    runs["C"] = (group, e2, np.ones(len(e2), dtype=np.int64))
+    return rest[new_group], runs
+
+
+def _census(k: int, runs: dict[ChainKind, _RunArrays]) -> StructVec:
+    a, b = runs["A"][2], runs["B"][2]
+    return StructVec(k, int(a.sum()), len(a), int(b.sum()), len(b), len(runs["C"][2]))
+
+
+def census(s: SymSet) -> StructVec:
+    """Chain census of a power set, counted from the run arrays without
+    building a single Chain; equals structural_vector(decompose(s), k)."""
+    return _census(s.k, _chain_runs(s)[1])
 
 
 def decompose(s: SymSet) -> list[Chain]:
@@ -161,51 +204,14 @@ def decompose(s: SymSet) -> list[Chain]:
     Deterministic output: sorted by (kind, base value).  The empty set
     has no chain structure and is rejected.
     """
-    _check_chain_k(s.k)
-    if len(s) == 0:
-        raise DomainError("cannot decompose the empty set")
-    exps = s.exponents
+    odd, runs = _chain_runs(s)
     basis = s.basis
-    e2 = exps[:, 0]
-    rest = exps[:, 1:]
-    order = np.lexsort((e2,) + tuple(rest.T))
-    e2s = e2[order]
-    rests = rest[order]
-    # group boundaries where the odd part changes
-    if len(order) > 1:
-        change = np.any(rests[1:] != rests[:-1], axis=1)
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1, [len(order)]))
-    else:
-        starts = np.array([0, len(order)])
-
-    chains: list[Chain] = []
-    use_b_phase = s.k == 8
-    for gi in range(len(starts) - 1):
-        lo, hi = int(starts[gi]), int(starts[gi + 1])
-        odd_part = tuple(int(x) for x in rests[lo])
-        group = [int(x) for x in e2s[lo:hi]]
-
-        def emit(kind: ChainKind, run: list[int]) -> None:
-            base = ElementVec(basis, (run[0],) + odd_part)
-            chains.append(Chain(kind, base, len(run)))
-
-        leftover: list[int] = []
-        for run in _runs(group, 1):
-            if len(run) >= 2:
-                emit("A", run)
-            else:
-                leftover.extend(run)
-        if use_b_phase:
-            singles: list[int] = []
-            for run in _runs(leftover, 2):
-                if len(run) >= 2:
-                    emit("B", run)
-                else:
-                    singles.extend(run)
-            leftover = singles
-        for v in leftover:
-            emit("C", [v])
-
+    odd_rows = [tuple(row) for row in odd.tolist()]
+    chains = [
+        Chain(kind, ElementVec(basis, (e,) + odd_rows[g]), length)
+        for kind in _KINDS
+        for g, e, length in zip(*(a.tolist() for a in runs[kind]))
+    ]
     chains.sort(key=lambda ch: (ch.kind, ch.base_value))
     return chains
 
@@ -347,7 +353,7 @@ class TransferFailure:
 
     k: int
     n: int
-    check: Literal["vector", "partition", "chain_gap"]
+    check: Literal["vector", "square", "partition", "chain_gap"]
     component: str | None
     expected: object
     actual: object
@@ -378,45 +384,79 @@ class TransferReport:
         return "\n".join(lines)
 
 
-def _check_partition(s: SymSet, chains: list[Chain], k: int, n: int, failures: list) -> None:
-    rows: list[tuple[int, ...]] = []
-    for ch in chains:
-        rows.extend(ch.member_exponents())
-    arr = np.asarray(rows, dtype=np.int64)
-    uniq = np.unique(arr, axis=0)
-    ok = len(uniq) == len(rows) == len(s) and np.array_equal(
-        uniq, np.unique(s.exponents, axis=0)
+def _members(odd: np.ndarray, runs: dict[ChainKind, _RunArrays]) -> tuple[np.ndarray, np.ndarray]:
+    """Every member of every run as an exponent row, sorted by (group,
+    exponent of 2), with the id of its run; ids count A, then B, then C."""
+    group, start, length = (np.concatenate([runs[kind][i] for kind in _KINDS]) for i in range(3))
+    step = np.concatenate(
+        [np.full(len(runs[kind][0]), _STEP_RATIO[kind], dtype=np.int64) for kind in _KINDS]
     )
-    if not ok:
+    run_id = np.repeat(np.arange(len(length)), length)
+    offset = np.arange(len(run_id)) - np.repeat(np.cumsum(length) - length, length)
+    e2 = start[run_id] + step[run_id] * offset
+    g = group[run_id]
+    order = np.lexsort((e2, g))
+    rows = np.empty((len(order), odd.shape[1] + 1), dtype=np.int64)
+    rows[:, 0] = e2[order]
+    rows[:, 1:] = odd[g[order]]
+    return rows, run_id[order]
+
+
+def _check_partition(s: SymSet, rows: np.ndarray, k: int, n: int, failures: list) -> None:
+    # The set's rows are distinct and in canonical order, which is the
+    # order of the members: equal row for row means each is covered once.
+    if not np.array_equal(rows, s.exponents):
+        distinct = len(np.unique(rows, axis=0))
         failures.append(
-            TransferFailure(k, n, "partition", None, f"{len(s)} elements covered once", f"{len(rows)} chain slots, {len(uniq)} distinct")
+            TransferFailure(k, n, "partition", None, f"{len(s)} elements covered once", f"{len(rows)} chain slots, {distinct} distinct")
         )
 
 
-def _check_gaps(chains: list[Chain], k: int, n: int, failures: list) -> None:
+def _check_gaps(
+    s: SymSet,
+    odd: np.ndarray,
+    runs: dict[ChainKind, _RunArrays],
+    rows: np.ndarray,
+    run_id: np.ndarray,
+    k: int,
+    n: int,
+    failures: list,
+) -> None:
     # Distinct chains may not concatenate: members with the same odd part
     # must be at least min_gap apart in the exponent of 2.
     min_gap = 3 if k == 8 else 2
-    by_odd: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for cid, ch in enumerate(chains):
-        e0 = ch.base.exponents
-        step = _STEP_RATIO[ch.kind] or 1
-        for j in range(ch.length):
-            by_odd.setdefault(e0[1:], []).append((e0[0] + j * step, cid))
-    for odd, members in by_odd.items():
-        members.sort()
-        for (g1, c1), (g2, c2) in zip(members, members[1:]):
-            if c1 != c2 and g2 - g1 < min_gap:
-                failures.append(
-                    TransferFailure(
-                        k,
-                        n,
-                        "chain_gap",
-                        None,
-                        f"gap >= {min_gap} between chains {chains[c1].kind} base={chains[c1].base_value} and {chains[c2].kind} base={chains[c2].base_value}",
-                        f"gap {g2 - g1}",
-                    )
-                )
+    gap = rows[1:, 0] - rows[:-1, 0]
+    close = (
+        np.all(rows[1:, 1:] == rows[:-1, 1:], axis=1)
+        & (run_id[1:] != run_id[:-1])
+        & (gap < min_gap)
+    )
+    if not close.any():
+        return
+    table = [(kind, g, e) for kind in _KINDS for g, e in zip(runs[kind][0].tolist(), runs[kind][1].tolist())]
+
+    def describe(rid: int) -> str:
+        kind, g, e = table[rid]
+        base = ElementVec(s.basis, (e,) + tuple(odd[g].tolist()))
+        return f"{kind} base={base.value}"
+
+    for i in np.flatnonzero(close).tolist():
+        failures.append(
+            TransferFailure(
+                k,
+                n,
+                "chain_gap",
+                None,
+                f"gap >= {min_gap} between chains {describe(run_id[i])} and {describe(run_id[i + 1])}",
+                f"gap {gap[i]}",
+            )
+        )
+
+
+def _check_vector(k: int, n: int, check: str, predicted: Sequence[int], actual: StructVec, failures: list) -> None:
+    for name, exp_c, act_c in zip(census_components(k), predicted, actual.vector()):
+        if exp_c != act_c:
+            failures.append(TransferFailure(k, n, check, name, exp_c, act_c))
 
 
 def verify_transfer(
@@ -425,36 +465,37 @@ def verify_transfer(
     """Check the transfer step against brute-force chain censuses.
 
     Builds the powers at indices 1, 3, 7, ..., 2**n_max - 1 with the set
-    oracle, decomposes each, and for every n < n_max asserts that the
-    hardcoded step matrix maps the census at index 2**n - 1 to the one
-    at 2**(n+1) - 1.  Partition and non-concatenation of the chains are
-    checked at every level.  All findings are collected into the report
-    rather than raised.
+    oracle, splits each into runs, and for every n < n_max asserts that
+    the hardcoded step matrix maps the census at index 2**n - 1 to the
+    one at 2**(n+1) - 1 (check "vector"), and that the squaring matrix
+    maps it to the census of that power's square (check "square", at
+    level n).  Partition and non-concatenation of the chains are checked
+    at every level.  Everything is computed from run arrays; no Chain is
+    built.  All findings are collected into the report rather than
+    raised.
     """
     _check_chain_k(k)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     base = make_base_set(k)
     step = transfer_matrix(k)
+    square = squaring_matrix(k)
     failures: list[TransferFailure] = []
     vectors: list[StructVec] = []
 
     current = SymSet.from_values(k, [1])
-    prev_vec: tuple[int, ...] | None = None
     for n in range(n_max + 1):
-        chains = decompose(current)
-        _check_partition(current, chains, k, n, failures)
-        _check_gaps(chains, k, n, failures)
-        sv = structural_vector(chains, k)
+        odd, runs = _chain_runs(current)
+        rows, run_id = _members(odd, runs)
+        _check_partition(current, rows, k, n, failures)
+        _check_gaps(current, odd, runs, rows, run_id, k, n, failures)
+        sv = _census(k, runs)
+        if vectors:
+            _check_vector(k, n, "vector", step.apply(vectors[-1].vector()), sv, failures)
         vectors.append(sv)
-        vec = sv.vector()
-        if prev_vec is not None:
-            predicted = step.apply(prev_vec)
-            for name, exp_c, act_c in zip(census_components(k), predicted, vec):
-                if exp_c != act_c:
-                    failures.append(TransferFailure(k, n, "vector", name, exp_c, act_c))
-        prev_vec = vec
         if n < n_max:
-            current = sym_prod(sym_square(current), base)
+            squared = sym_square(current)
+            _check_vector(k, n, "square", square.apply(sv.vector()), census(squared), failures)
+            current = sym_prod(squared, base)
             _check_cap(current, max_elements)
     return TransferReport(k, n_max, tuple(vectors), tuple(failures))

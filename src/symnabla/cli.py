@@ -21,11 +21,11 @@ import sys
 from itertools import islice
 
 from .chains import (
+    census,
     census_components,
     chain_as_dict,
     chains_to_text,
     decompose,
-    structural_vector,
     verify_transfer,
 )
 from .core import DEFAULT_ELEMENT_CAP, power_card_sequence, sym_power
@@ -60,7 +60,13 @@ def _print_values(values: list[int], fmt: str, index: str, json_fields: dict) ->
             print(f"{i} {v}")
 
 
+def _check_size(name: str, value: int) -> None:
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+
+
 def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]:
+    _check_size("limit", limit)
     engine = resolve_method(k, method)
     if engine == "brute":
         return power_card_sequence(k, limit, max_elements=max_elements)
@@ -95,7 +101,8 @@ def cmd_seq(args) -> int:
 
 
 def cmd_sparse(args) -> int:
-    values = list(islice(sparse_terms(args.k), max(args.count, 0)))
+    _check_size("count", args.count)
+    values = list(islice(sparse_terms(args.k), args.count))
     _print_values(values, args.format, "t", {"k": args.k})
     return 0
 
@@ -121,9 +128,7 @@ def cmd_chains(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    sv = structural_vector(
-        decompose(_power_at_exponent(args.k, args.n, args.max_elements)), args.k
-    )
+    sv = census(_power_at_exponent(args.k, args.n, args.max_elements))
     if args.format == "plain":
         print(sv)
     elif args.format == "csv":

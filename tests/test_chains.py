@@ -1,13 +1,18 @@
 """Chain decomposition, structural vectors, and transfer verification."""
 
+from math import prod
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symnabla.chains as chains_mod
 from symnabla.chains import (
     Chain,
     StructVec,
     cardinality_functional,
+    census,
     chain_as_dict,
     chains_to_text,
     decompose,
@@ -21,8 +26,51 @@ from symnabla.chains import (
     transfer_matrix,
     verify_transfer,
 )
+from symnabla.cli import main
 from symnabla.core import ElementVec, SymSet, make_base_set, sym_power, sym_prod, sym_square
 from symnabla.errors import DomainError
+
+
+def _runs(values, step):
+    """Maximal runs of the given step inside an ascending sequence."""
+    runs = []
+    for v in values:
+        if runs and v == runs[-1][-1] + step:
+            runs[-1].append(v)
+        else:
+            runs.append([v])
+    return runs
+
+
+def reference_chains(s):
+    """Pure-Python decomposition as (kind, base value, length), sorted.
+
+    Per odd part: maximal step-1 runs of the exponent of 2 are kind A;
+    at k = 8 the maximal step-2 runs among the leftovers are kind B;
+    every other member is a kind C singleton.
+    """
+    groups = {}
+    for row in s.exponents.tolist():
+        groups.setdefault(tuple(row[1:]), []).append(row[0])
+    phases = [("A", 1), ("B", 2)] if s.k == 8 else [("A", 1)]
+    found = []
+    for odd, e2s in groups.items():
+        odd_value = prod(p**e for p, e in zip(s.basis[1:], odd))
+        leftover = sorted(e2s)
+        for kind, step in phases:
+            rest = []
+            for run in _runs(leftover, step):
+                if len(run) >= 2:
+                    found.append((kind, odd_value << run[0], len(run)))
+                else:
+                    rest.extend(run)
+            leftover = rest
+        found.extend(("C", odd_value << e, 1) for e in leftover)
+    return sorted(found)
+
+
+def as_triples(chains):
+    return [(c.kind, c.base_value, c.length) for c in chains]
 
 # the full 18-chain breakdown of the cube of the k = 8 base set,
 # written as (kind, base value, length); total membership is 48
@@ -209,12 +257,10 @@ def test_squaring_and_step_matrices_replay_dense_powers():
         square, step = squaring_matrix(k), transfer_matrix(k)
         for n in range(32):
             power = sym_power(k, n)
-            vec = structural_vector(decompose(power), k).vector()
+            vec = census(power).vector()
             squared = sym_square(power)
-            got = structural_vector(decompose(squared), k).vector()
-            assert got == square.apply(vec), (k, n)
-            got = structural_vector(decompose(sym_prod(squared, base)), k).vector()
-            assert got == step.apply(vec), (k, n)
+            assert census(squared).vector() == square.apply(vec), (k, n)
+            assert census(sym_prod(squared, base)).vector() == step.apply(vec), (k, n)
 
 
 def test_functional_reads_cardinality():
@@ -236,6 +282,9 @@ def test_verify_transfer_passes_structured_range():
     assert rep.summary().startswith("PASS k=8 powers 0..5")
     for k in (4, 5, 6, 7):
         assert verify_transfer(k, 6).ok
+    rep = verify_transfer(8, 7)
+    assert rep.ok
+    assert rep.vectors[7].cardinality() == len(sym_power(8, 127))
 
 
 def test_verify_transfer_reports_not_raises():
@@ -289,6 +338,8 @@ def test_decompose_partitions_arbitrary_sets(k, rows):
     trimmed = [row[:width] for row in rows]
     s = SymSet(k, trimmed)
     chains = decompose(s)
+    assert as_triples(chains) == reference_chains(s)
+    assert census(s) == structural_vector(chains, k)
     members = []
     for chain in chains:
         members.extend(chain.values())
@@ -309,3 +360,133 @@ def test_decompose_partitions_arbitrary_sets(k, rows):
             key = (odd, e2 + offset)
             assert key not in seen
             seen[key] = chain
+
+
+def test_decompose_matches_reference_with_step_two_runs():
+    """One odd part holding an A run, a B run and a singleton at k = 8;
+    below k = 8 the would-be B run falls apart into singletons."""
+    # exponents of 2 for odd part 3: 0 1 | 3 5 7 | 10
+    values = [3 << e for e in (0, 1, 3, 5, 7, 10)] + [5, 20, 80, 7]
+    s8 = SymSet.from_values(8, values)
+    assert reference_chains(s8) == [
+        ("A", 3, 2),
+        ("B", 5, 3),
+        ("B", 24, 3),
+        ("C", 7, 1),
+        ("C", 3072, 1),
+    ]
+    assert as_triples(decompose(s8)) == reference_chains(s8)
+    assert census(s8).vector() == (2, 1, 6, 2, 2)
+    s7 = SymSet.from_values(7, values)
+    assert as_triples(decompose(s7)) == reference_chains(s7)
+    assert census(s7).vector() == (2, 1, 8)
+    for k in (4, 5, 6, 7, 8):
+        for n in range(24):
+            s = sym_power(k, n)
+            chains = decompose(s)
+            assert as_triples(chains) == reference_chains(s), (k, n)
+            assert census(s) == structural_vector(chains, k), (k, n)
+
+
+def test_census_rejects_what_decompose_rejects():
+    with pytest.raises(DomainError):
+        census(SymSet.empty(8))
+    with pytest.raises(DomainError):
+        census(sym_power(3, 2))
+
+
+def _patch_runs(monkeypatch, mutate):
+    """Route every split through mutate(odd, runs) -> runs."""
+    original = chains_mod._chain_runs
+
+    def patched(s):
+        odd, runs = original(s)
+        return odd, mutate(odd, dict(runs))
+
+    monkeypatch.setattr(chains_mod, "_chain_runs", patched)
+
+
+def _drop_member(odd, runs):
+    runs["C"] = tuple(a[:-1] for a in runs["C"])
+    return runs
+
+
+def _merge_runs(odd, runs):
+    group, start, length = runs["A"]
+    if len(length) >= 2:
+        merged = np.concatenate(([length[0] + length[1]], length[2:]))
+        runs["A"] = (np.delete(group, 1), np.delete(start, 1), merged)
+    return runs
+
+
+def _split_a_run(odd, runs):
+    group, start, length = runs["A"]
+    long = np.flatnonzero(length >= 4)
+    if len(long):
+        i = int(long[0])
+        head = length.copy()
+        head[i] = 2
+        runs["A"] = (
+            np.insert(group, i + 1, group[i]),
+            np.insert(start, i + 1, start[i] + 2),
+            np.insert(head, i + 1, length[i] - 2),
+        )
+    return runs
+
+
+def _bump_step_row(monkeypatch):
+    rows = [list(r) for r in chains_mod._STEP_ROWS[8]]
+    rows[0][0] += 1
+    monkeypatch.setitem(chains_mod._STEP_ROWS, 8, tuple(map(tuple, rows)))
+
+
+def _bump_square_row(monkeypatch):
+    rows = [list(r) for r in chains_mod._SQUARE_ROWS[8]]
+    rows[4][4] += 1
+    monkeypatch.setitem(chains_mod._SQUARE_ROWS, 8, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "check, fault",
+    [
+        ("partition", lambda mp: _patch_runs(mp, _drop_member)),
+        ("partition", lambda mp: _patch_runs(mp, _merge_runs)),
+        ("chain_gap", lambda mp: _patch_runs(mp, _split_a_run)),
+        ("vector", _bump_step_row),
+        ("square", _bump_square_row),
+    ],
+    ids=["drop_member", "merge_runs", "split_a_run", "step_row", "square_row"],
+)
+def test_verify_transfer_reports_each_fault(check, fault, monkeypatch, capsys):
+    fault(monkeypatch)
+    rep = verify_transfer(8, 3)
+    assert not rep.ok
+    assert check in {f.check for f in rep.failures}
+    assert rep.summary().startswith("FAIL k=8")
+    assert main(["verify", "--k", "8", "--max-n", "3"]) == 4
+    assert f" {check}" in capsys.readouterr().out
+
+
+def test_chain_gap_failure_text(monkeypatch):
+    """A base=1 len=4 at power 1, split in two, is reported with the
+    bases of both halves."""
+    _patch_runs(monkeypatch, _split_a_run)
+    gaps = [f for f in verify_transfer(8, 1).failures if f.check == "chain_gap"]
+    assert gaps[0].message() == (
+        "k=8 n=1 chain_gap: expected gap >= 3 between chains A base=1 "
+        "and A base=4, got gap 1"
+    )
+
+
+def test_verify_and_structure_build_no_chain(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Chain constructed")
+
+    monkeypatch.setattr(chains_mod, "Chain", refuse)
+    assert verify_transfer(8, 5).ok
+    assert main(["verify", "--k", "7", "--max-n", "5"]) == 0
+    assert main(["structure", "--k", "8", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "(200,54,64,20,32)"
+    with pytest.raises(AssertionError):
+        decompose(make_base_set(8))

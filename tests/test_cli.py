@@ -308,6 +308,23 @@ def test_domain_error_exits_2(capsys):
     assert err == "error: k must be in 1..64, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "--k", "8", "--limit", "-1"),
+        ("seq", "--k", "7", "--limit", "-1"),
+        ("seq", "--k", "8", "--limit", "-1", "--method", "reduce"),
+        ("seq", "--k", "2", "--limit", "-3", "--method", "brute"),
+        ("sparse", "--k", "8", "--count", "-2"),
+    ],
+)
+def test_negative_sizes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 0" in err
+
+
 def test_size_limit_exits_3(capsys):
     code, _, err = run_cli(
         capsys,
