@@ -67,6 +67,10 @@ def _check_size(name: str, value: int) -> None:
 
 def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]:
     _check_size("limit", limit)
+    if limit + 1 > max_elements:
+        raise SizeLimitError(
+            f"seq would hold {limit + 1} terms, over the cap {max_elements}"
+        )
     engine = resolve_method(k, method)
     if engine == "brute":
         return power_card_sequence(k, limit, max_elements=max_elements)
@@ -238,7 +242,7 @@ def _add_cap(parser) -> None:
         type=int,
         default=DEFAULT_ELEMENT_CAP,
         dest="max_elements",
-        help="abort set construction beyond this many elements (exit 3)",
+        help="abort beyond this many set elements, or seq terms (exit 3)",
     )
 
 
@@ -341,8 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Exact values of any size must print in every format, so the
+    # int-to-str digit limit (Python 3.11+) is lifted for the call.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -356,6 +365,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

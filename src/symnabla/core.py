@@ -22,9 +22,18 @@ identical, only slower.
 
 The object of interest downstream is the n-th symmetric power of the
 base set {1, ..., k}, whose cardinality as a function of n the chain and
-recurrence modules reproduce without materialising any sets.  Power sets
-grow fast, so the power operations take an element cap and raise
-SizeLimitError instead of exhausting memory.
+recurrence modules reproduce without materialising any sets.  The power
+operations (``sym_power``, ``brute_card``, ``power_card_sequence``) fix
+one key layout per call: each field holds n times the base set's
+largest exponent in its column, which bounds that exponent in every
+power 0..n.  The powers then stay sorted int64 keys from start to end:
+squaring doubles every key, multiplying by the base set goes through the
+same add/sort/parity kernel as ``sym_prod``, and only ``sym_power``
+unpacks, once, at the end.  A layout wider than 63 bits (k = 64 at
+n = 8, say) steps ``SymSet`` values with ``sym_square`` and
+``sym_prod`` instead.  Power sets grow fast, so the power operations
+take an element cap and raise SizeLimitError instead of exhausting
+memory.
 
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
@@ -132,15 +141,33 @@ def _unpack(keys: np.ndarray, maxima: Iterable[int]) -> np.ndarray:
 
 
 def _parity_sorted(keys: np.ndarray) -> np.ndarray:
-    """Keys occurring an odd number of times, assuming sorted input."""
-    if keys.size == 0:
-        return keys
-    new_run = np.empty(keys.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    lengths = np.diff(np.append(starts, keys.size))
-    return keys[starts[(lengths & 1) == 1]]
+    """Keys occurring an odd number of times, assuming sorted input.
+
+    One neighbour-compare mask, with a sentinel at each end, marks the
+    run boundaries.  A run is odd when its two boundaries differ in the
+    lowest bit; the uint8 cast keeps that bit and makes the test one
+    byte-wide pass.
+    """
+    edge = np.empty(keys.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    low = bounds.astype(np.uint8)
+    odd = ((low[1:] ^ low[:-1]) & 1).view(bool)
+    return keys[bounds[:-1][odd]]
+
+
+def _toggle_sums(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """Sorted keys hit an odd number of times by the sums ka[i] + kb[j].
+
+    ka must be sorted and every sum must fit the packed fields.  Row j
+    of the outer sum is ka shifted by kb[j], a sorted run, and a stable
+    (merge-based) sort joins such runs about twice as fast as the
+    default quicksort.
+    """
+    out = np.add.outer(kb, ka).ravel()
+    out.sort(kind="stable")
+    return _parity_sorted(out)
 
 
 def _parity_rows(exps: np.ndarray) -> np.ndarray:
@@ -352,10 +379,7 @@ def sym_prod(a: SymSet, b: SymSet) -> SymSet:
     if eb.shape[0] > ea.shape[0]:
         ea, eb = eb, ea
     m, p = ea.shape[0], eb.shape[0]
-    if m * p > _PAIR_GUARD:
-        raise SizeLimitError(
-            f"symmetric product needs {m * p} pairwise products, over the guard {_PAIR_GUARD}"
-        )
+    _check_pairs(m, p)
     if ea.shape[1] == 0:
         # Only {1} is representable over an empty basis; {1}*{1} == {1}.
         return SymSet(a.k, ea[:1], _internal=True)
@@ -365,11 +389,7 @@ def sym_prod(a: SymSet, b: SymSet) -> SymSet:
         ka = _pack(ea, shifts)  # canonical row order makes these ascending
         kb = _pack(eb, shifts)
         if p <= 512:
-            out = np.empty(m * p, dtype=np.int64)
-            for j in range(p):
-                np.add(ka, kb[j], out=out[j * m : (j + 1) * m])
-            out.sort(kind="stable")
-            keys = _parity_sorted(out)
+            keys = _toggle_sums(ka, kb)
         else:
             rows_per = max(1, _CHUNK_KEYS // p)
             partials = []
@@ -408,32 +428,92 @@ def sym_square(s: SymSet) -> SymSet:
     return SymSet(s.k, s.exponents * 2, _internal=True)
 
 
-def _check_cap(s: SymSet, cap: int) -> None:
+def _check_pairs(m: int, p: int) -> None:
+    if m * p > _PAIR_GUARD:
+        raise SizeLimitError(
+            f"symmetric product needs {m * p} pairwise products, over the guard {_PAIR_GUARD}"
+        )
+
+
+def _check_cap(s, cap: int) -> None:
+    """s is a SymSet or an array of packed keys; both have a length."""
     if len(s) > cap:
         raise SizeLimitError(
             f"symmetric power reached {len(s)} elements, over the cap {cap}"
         )
 
 
+def _base_keys(base: SymSet, n: int):
+    """The base set packed for its powers 0..n, and the field maxima.
+
+    Every element of power r is a product of r base elements, so its
+    exponent in column j is at most r times the base set's maximum
+    there.  Fields sized for n times those maxima therefore hold every
+    power 0..n and never need widening.  Returns None when they need
+    more than 63 bits.
+    """
+    maxima = [n * int(m) for m in base.exponents.max(axis=0)]
+    shifts, total = _field_shifts(maxima)
+    if total > 63:
+        return None
+    return _pack(base.exponents, shifts), maxima
+
+
+def _times_keys(keys: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """Product of a packed power by the packed base set, under sym_prod's guard."""
+    _check_pairs(keys.size, kb.size)
+    return _toggle_sums(keys, kb)
+
+
+def _square_and_multiply(base, n: int, square, times, cap: int):
+    """Power n >= 1 of base, checking the cap after every step."""
+    result = base
+    _check_cap(result, cap)
+    for bit in bin(n)[3:]:
+        result = square(result)
+        if bit == "1":
+            result = times(result, base)
+        _check_cap(result, cap)
+    return result
+
+
+def _power(k: int, n: int, cap: int):
+    """The n-th power of {1, ..., k} and the field maxima of its keys.
+
+    On the key path the power comes back as sorted int64 keys.  Squaring
+    doubles every field, which keeps the keys sorted, and every
+    intermediate of square-and-multiply is a power <= n, so the fields
+    from _base_keys hold it.  When those fields need more than 63 bits
+    the power comes back as a SymSet from sym_square and sym_prod, with
+    maxima None.
+    """
+    if n < 0:
+        raise DomainError(f"power index must be >= 0, got {n}")
+    if n == 0:
+        return SymSet.from_values(k, [1]), None
+    base = make_base_set(k)
+    packed = _base_keys(base, n)
+    if packed is None:
+        return _square_and_multiply(base, n, sym_square, sym_prod, cap), None
+    kb, maxima = packed
+    return _square_and_multiply(kb, n, lambda keys: keys * 2, _times_keys, cap), maxima
+
+
 def sym_power(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> SymSet:
     """n-th symmetric power of {1, ..., k} by square-and-multiply.
+
+    The power stays in sorted int64 keys from start to end, with field
+    widths fixed once from n, and is unpacked once, into canonical row
+    order.  Layouts wider than 63 bits (for example k = 64, n = 8) run
+    sym_square and sym_prod on SymSets instead.
 
     sym_power(k, 0) is the ring identity {1}.  Raises SizeLimitError if
     any intermediate power exceeds max_elements.
     """
-    if n < 0:
-        raise DomainError(f"power index must be >= 0, got {n}")
-    base = make_base_set(k)
-    if n == 0:
-        return SymSet.from_values(k, [1])
-    result = base
-    _check_cap(result, max_elements)
-    for bit in bin(n)[3:]:
-        result = sym_square(result)
-        if bit == "1":
-            result = sym_prod(result, base)
-        _check_cap(result, max_elements)
-    return result
+    power, maxima = _power(k, n, max_elements)
+    if maxima is None:
+        return power
+    return SymSet(k, _unpack(power, maxima), _internal=True)
 
 
 def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -441,9 +521,10 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
 
     This is the ground-truth oracle the structural methods are checked
     against.  It works for any k up to MAX_K, subject to the element
-    cap.
+    cap.  It builds the power as sym_power does but only counts its
+    keys, without unpacking them.
     """
-    return len(sym_power(k, n, max_elements=max_elements))
+    return len(_power(k, n, max_elements)[0])
 
 
 def power_card_sequence(
@@ -453,14 +534,21 @@ def power_card_sequence(
 
     Equivalent to [brute_card(k, n) for n in range(limit + 1)] but far
     cheaper for a dense sweep, since power n is reused for power n+1.
+    The sweep runs on sorted int64 keys whose fields are sized once for
+    power limit and only counts them; layouts wider than 63 bits step
+    SymSets with sym_prod instead.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     base = make_base_set(k)
-    current = SymSet.from_values(k, [1])
+    packed = _base_keys(base, limit)
+    if packed is None:
+        current, factor, times = SymSet.from_values(k, [1]), base, sym_prod
+    else:
+        current, factor, times = np.zeros(1, dtype=np.int64), packed[0], _times_keys
     cards = [1]
     for _ in range(limit):
-        current = sym_prod(current, base)
+        current = times(current, factor)
         _check_cap(current, max_elements)
         cards.append(len(current))
     return cards

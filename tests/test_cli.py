@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import symnabla
+from symnabla import cli
 from symnabla.cli import build_parser, main
 from symnabla.errors import TransportError
 from symnabla.oeis import parse_bfile
+from symnabla.recurrence import fast_term, matrix_term
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -340,6 +342,52 @@ def test_size_limit_exits_3(capsys):
     )
     assert code == 3
     assert "over the cap 1000" in err
+
+
+def test_seq_term_count_is_capped(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran before the cap check")
+
+    monkeypatch.setattr(cli, "matrix_term_range", refuse)
+    monkeypatch.setattr(cli, "power_card_sequence", refuse)
+    for method in ("auto", "brute"):
+        code, out, err = run_cli(
+            capsys, "seq", "--k", "8", "--limit", "100", "--method", method, "--max-elements", "50"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: seq would hold 101 terms, over the cap 50\n"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "49", "--max-elements", "50")
+    assert code == 0 and len(out.split()) == 50
+
+
+HUGE_N = 2**6000 - 1
+
+
+@pytest.mark.parametrize("k, reference", [(8, matrix_term), (5, lambda n: fast_term(5, n))])
+def test_term_prints_values_past_the_digit_limit(capsys, k, reference):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = get_limit()
+    outputs = {}
+    for fmt in ("plain", "csv", "json", "bfile"):
+        code, outputs[fmt], err = run_cli(
+            capsys, "term", "--k", str(k), "--n", str(HUGE_N), "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert get_limit() == before  # main restores the limit it lifted
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        n, value = str(HUGE_N), str(reference(HUGE_N))
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+    assert outputs == {
+        "plain": f"{value}\n",
+        "csv": f"k,n,value\n{k},{n},{value}\n",
+        "json": f'{{"k": {k}, "n": {n}, "method": "auto", "value": {value}}}\n',
+        "bfile": f"{n} {value}\n",
+    }
 
 
 def test_verify_failure_exits_4(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symnabla import core
 from symnabla.core import (
     DEFAULT_ELEMENT_CAP,
     MAX_K,
@@ -110,28 +111,93 @@ def test_square_matches_doubled_power():
             assert sym_square(sym_power(k, n)) == sym_power(k, 2 * n)
 
 
+def iterated_powers(k, limit):
+    """Powers 0..limit of {1, ..., k} by repeated sym_prod, the reference."""
+    base = make_base_set(k)
+    acc = SymSet.from_values(k, [1])
+    powers = [acc]
+    for _ in range(limit):
+        acc = sym_prod(acc, base)
+        powers.append(acc)
+    return powers
+
+
 def test_square_and_multiply_matches_iterated_product():
-    for k in (2, 3, 7, 8):
-        base = make_base_set(k)
-        acc = SymSet.from_values(k, [1])
-        for n in range(13):
-            assert sym_power(k, n) == acc
-            acc = sym_prod(acc, base)
+    # equality compares the exponent rows, so their order is checked too
+    for k, limit in [(1, 8), (2, 40), (3, 30), (5, 20), (7, 16), (8, 16), (12, 9), (20, 6)]:
+        for n, want in enumerate(iterated_powers(k, limit)):
+            got = sym_power(k, n)
+            assert got == want
+            assert got.exponents.dtype == np.int64 and not got.exponents.flags.writeable
 
 
 def test_sequence_sweep_matches_per_index_oracle():
-    for k in range(2, 9):
-        seq = power_card_sequence(k, 16)
-        assert seq == [brute_card(k, n) for n in range(17)]
+    sweeps = [(1, 10), (2, 64), (3, 40), (4, 24), (5, 16), (6, 16), (7, 16), (8, 24), (12, 9)]
+    for k, limit in sweeps:
+        seq = power_card_sequence(k, limit)
+        assert seq == [len(s) for s in iterated_powers(k, limit)]
+        assert seq == [brute_card(k, n) for n in range(limit + 1)]
+    assert power_card_sequence(8, 0) == [1]
 
 
-def test_element_cap_enforced():
-    with pytest.raises(SizeLimitError):
+def test_power_layout_boundary(monkeypatch):
+    """k = 64 packs power 7 into 61 bits; power 8 needs 77, past int64.
+
+    k = 4 packs every power below 2**31 into exactly 63 bits.
+    """
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "sym_prod", counted(sym_prod))
+    monkeypatch.setattr(core, "sym_square", counted(sym_square))
+    assert brute_card(64, 7) == 124788
+    assert power_card_sequence(64, 7)[7] == 124788
+    assert calls == []  # the key path never builds a SymSet product
+    assert brute_card(64, 8) == 64
+    assert calls == ["sym_square"] * 3
+    # a sweep sizes its fields for its limit; the cap stops it at power 3
+    for limit, path in [(7, []), (8, ["sym_prod"] * 3)]:
+        calls.clear()
+        with pytest.raises(SizeLimitError, match="reached 2780 elements, over the cap 100"):
+            power_card_sequence(64, limit, max_elements=100)
+        assert calls == path
+    calls.clear()
+    n = 2**30 + 1
+    base = [(0, 0), (1, 0), (0, 1), (2, 0)]  # 1, 2, 3, 4 over (2, 3)
+    rows = [[2**30 * a + c, 2**30 * b + d] for a, b in base for c, d in base]
+    assert sym_power(4, n) == SymSet(4, rows) and len(rows) == 16
+    assert calls == []
+    assert brute_card(4, 2**31) == 4
+    assert calls == ["sym_square"] * 31
+    monkeypatch.undo()
+    assert sym_power(64, 7) == iterated_powers(64, 7)[7]
+    assert sym_power(64, 8).values() == [v**8 for v in range(1, 65)]
+
+
+def test_element_cap_enforced(monkeypatch):
+    # 296 is the first power of {1..8} above 100 elements, at n = 7
+    message = "symmetric power reached 296 elements, over the cap 100"
+    with pytest.raises(SizeLimitError, match=message):
         sym_power(8, 63, max_elements=100)
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=message):
         power_card_sequence(8, 63, max_elements=100)
     # generous caps stay silent
     assert brute_card(8, 63, max_elements=DEFAULT_ELEMENT_CAP) == 64536
+    # the pair guard trips at the same product as a sym_prod loop would
+    monkeypatch.setattr(core, "_PAIR_GUARD", 2000)
+    message = "symmetric product needs 2368 pairwise products, over the guard 2000"
+    with pytest.raises(SizeLimitError, match=message):
+        iterated_powers(8, 63)
+    with pytest.raises(SizeLimitError, match=message):
+        power_card_sequence(8, 63)
+    with pytest.raises(SizeLimitError, match=message):
+        brute_card(8, 63)
 
 
 def test_mixed_rings_refused():
