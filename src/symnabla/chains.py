@@ -35,6 +35,8 @@ nested tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -260,7 +262,7 @@ def mat_sub(a, b) -> tuple[tuple[int, ...], ...]:
 
 
 def mat_vec(a, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def vec_mat(u: Sequence[int], a) -> tuple[int, ...]:
@@ -271,10 +273,37 @@ def vec_outer(col: Sequence[int], row: Sequence[int]) -> tuple[tuple[int, ...], 
     return tuple(tuple(x * y for y in row) for x in col)
 
 
+@cache
+def _squaring(a, j: int) -> tuple[tuple[int, ...], ...]:
+    """a**(2**j), each level squared from the one below and kept.  The
+    cache is bounded by the longest bit length of an exponent asked for."""
+    if j == 0:
+        return a
+    half = _squaring(a, j - 1)
+    return mat_mul(half, half)
+
+
+def _pow_vec(a, e: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """a**e applied to v by binary powering, one cached squaring per
+    1-bit of e.  a must be a hashable tuple of tuples."""
+    j = 0
+    while e:
+        if e & 1:
+            v = mat_vec(_squaring(a, j) if j else a, v)
+        e >>= 1
+        j += 1
+    return v
+
+
 def mat_pow(a, e: int) -> tuple[tuple[int, ...], ...]:
+    """a**e for e >= 0, a product of the cached squarings of a."""
+    if e < 0:
+        raise DomainError(f"matrix power must be >= 0, got {e}")
+    a = tuple(tuple(row) for row in a)
     result = mat_identity(len(a))
-    for _ in range(e):
-        result = mat_mul(result, a)
+    for j in range(e.bit_length()):
+        if e >> j & 1:
+            result = mat_mul(_squaring(a, j), result)
     return result
 
 

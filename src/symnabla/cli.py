@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage or domain error, 3 resource cap
-exceeded, 4 verification mismatch.
+exceeded, 4 verification mismatch.  A stdout closed by its reader (as
+``| head`` does) ends the command quietly with 0.
 
 Indexing conventions differ by command, deliberately:
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from itertools import islice
 
@@ -114,7 +116,17 @@ def cmd_sparse(args) -> int:
 def _power_at_exponent(k: int, t: int, max_elements: int):
     if t < 0:
         raise DomainError(f"exponent must be >= 0, got {t}")
-    return sym_power(k, (1 << t) - 1, max_elements=max_elements)
+    census_components(k)  # chain analysis covers k = 4..8 only
+    # sym_power passes through the powers at 2**s - 1 for every s < t,
+    # which hold sparse_term(k, s) elements.  Checking those sizes first
+    # refuses a t past the cap before 2**t - 1 is even formed.
+    for s, size in enumerate(sparse_terms(k)):
+        if s == t:
+            return sym_power(k, (1 << t) - 1, max_elements=max_elements)
+        if size > max_elements:
+            raise SizeLimitError(
+                f"the power at index 2**{t} - 1 would hold more than the cap of {max_elements} elements"
+            )
 
 
 def cmd_chains(args) -> int:
@@ -352,7 +364,16 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does.  Later writes,
+        # including the flush at interpreter exit, go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

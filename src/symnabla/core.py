@@ -424,8 +424,17 @@ def sym_square(s: SymSet) -> SymSet:
     result has exactly the same cardinality, with every exponent
     doubled.  Doubling preserves canonical order, so no re-sort is
     needed.
+
+    Raises SizeLimitError when an exponent is 2**62 or more: its double
+    would not fit in int64, and a later product could not add to it.
     """
-    return SymSet(s.k, s.exponents * 2, _internal=True)
+    exps = s.exponents
+    if exps.size and int(exps.max()) >= 1 << 62:
+        raise SizeLimitError(
+            f"squaring would double an exponent of {int(exps.max())}; exponents "
+            "must stay below 2**62 so that doubled rows still fit in int64"
+        )
+    return SymSet(s.k, exps * 2, _internal=True)
 
 
 def _check_pairs(m: int, p: int) -> None:

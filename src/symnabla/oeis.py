@@ -155,11 +155,12 @@ def crosscheck(k: int, bfile: BFile, limit: int) -> CrosscheckReport:
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     listed = bfile.as_dict()
-    missing = [n for n in range(limit + 1) if n not in listed]
-    if missing:
+    # Each scan stops within len(listed) + 1 steps, whatever the limit.
+    first = next((n for n in range(limit + 1) if n not in listed), None)
+    if first is not None:
+        last = next(n for n in range(limit, -1, -1) if n not in listed)
         raise CoverageError(
-            f"b-file does not cover indices {missing[0]}..{missing[-1]} "
-            f"(needs 0..{limit})"
+            f"b-file does not cover indices {first}..{last} (needs 0..{limit})"
         )
     for n in range(limit + 1):
         computed = term(k, n)

@@ -6,19 +6,30 @@ expansion of n without building any sets:
 
 * ``sparse_term(k, t)``: the subsequence at the all-ones indices
   2**t - 1, which satisfies a short linear recurrence for each
-  k in 2..8 (``_SPARSE_RECURRENCES``, the one table of these facts);
+  k in 2..8 (``_SPARSE_RECURRENCES``, the one table of these facts).
+  A single term is a power of the recurrence's companion matrix;
+  ``sparse_terms`` walks the recurrence for a whole prefix;
 * ``fast_term(k, n)`` for k <= 7: the term is the product of sparse
-  terms over the maximal runs of 1-bits of n.  The underlying
+  terms over the maximal runs of 1-bits of n, each distinct run length
+  reached by jumps along the recurrence.  The underlying
   multiplicativity breaks at k = 8 (n = 11 is the smallest
   counterexample), so k = 8 is rejected;
 * ``matrix_term(n, k)`` for k in 4..8: a 5-state (k = 8) or 3-state
   matrix word read off the bits of n, most significant first - the
   step matrix per 1-bit, the squaring matrix per 0-bit - applied to
-  the initial state, then contracted with the cardinality functional;
+  the initial state, then contracted with the cardinality functional.
+  A power of the squaring matrix (g zeros in a row: g = 2 at k = 8,
+  1 below) is the rank-one projector onto the initial state, so the
+  word is cut at such gaps into blocks whose values multiply, and a run
+  of L ones inside a block is the step matrix to the power L;
 * ``reduce_term(n)`` for k = 8: a memoised rewriting system on binary
   expansions with base cases {0, 1, 3} and five core rules (plus two
   optional shortcut rules that never change values).  It can return the
   full derivation as a ReductionTrace.
+
+All matrix powers go through one kernel in ``chains`` that applies
+cached repeated squarings, so the cost grows with the number of runs
+and the bit lengths of their lengths, not with the bit length of n.
 
 ``matrix_identity_suite`` and ``annihilation_check`` verify, in exact
 integer arithmetic, the matrix identities that make the whole scheme
@@ -30,18 +41,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from functools import cache
+from math import prod
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .chains import (
+    _pow_vec,
     cardinality_functional,
     initial_vector,
     is_zero_mat,
     mat_identity,
     mat_mul,
+    mat_pow,
     mat_scale,
     mat_sub,
     mat_vec,
@@ -67,11 +81,28 @@ _SPARSE_RECURRENCES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
+# The same recurrences as companion matrices acting on the window
+# (sparse(t), sparse(t - 1), ...), newest first: k -> (the matrix, whose
+# rows are the coefficients and then a shift, and the window at the
+# last seed).
+_JUMPS = {
+    k: (
+        (coeffs,) + tuple(tuple(int(j == i) for j in range(len(coeffs))) for i in range(len(coeffs) - 1)),
+        seeds[::-1][: len(coeffs)],
+    )
+    for k, (seeds, coeffs) in _SPARSE_RECURRENCES.items()
+}
+
+
+def _check_sparse_k(k: int) -> None:
+    if k not in _SPARSE_RECURRENCES:
+        raise DomainError(f"sparse recurrences cover k in 2..8, got {k}")
+
+
 def sparse_terms(k: int) -> Iterator[int]:
     """term(k, 2**t - 1) for t = 0, 1, 2, ... without end, by one walk of
     the linear recurrence.  A k outside 2..8 raises on the first term."""
-    if k not in _SPARSE_RECURRENCES:
-        raise DomainError(f"sparse recurrences cover k in 2..8, got {k}")
+    _check_sparse_k(k)
     seeds, coeffs = _SPARSE_RECURRENCES[k]
     yield from seeds
     window = list(seeds[-len(coeffs) :])  # oldest first, so coeffs pair reversed
@@ -82,17 +113,42 @@ def sparse_terms(k: int) -> Iterator[int]:
         yield window[-1]
 
 
+def _sparse_values(k: int, lengths: Iterable[int]) -> dict[int, int]:
+    """term(k, 2**t - 1) for each t in lengths, which are distinct.
+
+    Visits them in sorted order and jumps from one to the next with a
+    power of the companion matrix, so the cost follows the bit lengths
+    of the jumps, not their sizes.
+    """
+    _check_sparse_k(k)
+    seeds = _SPARSE_RECURRENCES[k][0]
+    companion, window = _JUMPS[k]
+    t = len(seeds) - 1
+    values = {}
+    for length in sorted(lengths):
+        if length <= t:
+            values[length] = seeds[length]
+        else:
+            window = _pow_vec(companion, length - t, window)
+            t = length
+            values[length] = window[0]
+    return values
+
+
 def sparse_term(k: int, t: int) -> int:
-    """term(k, 2**t - 1), by the linear recurrence."""
+    """term(k, 2**t - 1), by a power of the recurrence's companion matrix."""
     if t < 0:
         raise DomainError(f"index must be >= 0, got {t}")
-    return next(islice(sparse_terms(k), t, None))
+    return _sparse_values(k, (t,))[t]
 
 
 def fast_term(k: int, n: int) -> int:
     """Product of sparse terms over the maximal 1-runs of n (k <= 7).
 
-    Rejects k = 8, where run-multiplicativity fails.
+    Each distinct run length is evaluated once, by jumps along the
+    sparse recurrence (``_sparse_values``), and raised to the number of
+    runs of that length.  Rejects k = 8, where run-multiplicativity
+    fails.
     """
     if k == 8:
         raise DomainError(
@@ -105,12 +161,11 @@ def fast_term(k: int, n: int) -> int:
         raise DomainError(f"index must be >= 0, got {n}")
     if k == 1:
         return 1
-    runs = Counter(len(run) for run in bin(n)[2:].split("0") if run)
+    runs = Counter(map(len, filter(None, bin(n)[2:].split("0"))))
+    values = _sparse_values(k, runs)
     result = 1
-    # one walk of the recurrence, as far as the longest run
-    for length, value in zip(range(max(runs, default=0) + 1), sparse_terms(k)):
-        if length in runs:
-            result *= value ** runs[length]
+    for length, count in runs.items():
+        result *= values[length] ** count
     return result
 
 
@@ -134,25 +189,65 @@ def gap_split_check(k: int, alpha: int, beta: int, s: int) -> bool:
 # Matrix word (k = 4..8)
 
 
+def _product(values: Iterable[int]) -> int:
+    """Product in a balanced tree, so that big factors meet factors of
+    similar size (CPython's Karatsuba multiplication pays off there)."""
+    values = list(values) or [1]
+    while len(values) > 1:
+        values = [prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
+
+
+@cache
+def _gap_width(k: int) -> int:
+    """The smallest g with squaring_matrix(k)**g equal to the rank-one
+    projector onto the initial state: 1 for k <= 7, 2 for k = 8."""
+    square = squaring_matrix(k).rows
+    projector = vec_outer(initial_vector(k), cardinality_functional(k))
+    return next(g for g in range(1, len(square) + 1) if mat_pow(square, g) == projector)
+
+
+def _block_state(block: str, step, square, initial: tuple[int, ...]) -> tuple[int, ...]:
+    """The state of one block's bit word: step**L for a run of L ones,
+    the squaring matrix at each zero."""
+    runs = block.split("0")
+    v = _pow_vec(step, len(runs[0]), initial)
+    for run in runs[1:]:
+        v = _pow_vec(step, len(run), mat_vec(square, v))
+    return v
+
+
 def matrix_state(n: int, k: int = 8) -> tuple[int, ...]:
     """The structural state at index n, from the bit word.
 
-    Bits of n are read most significant first; a 1-bit applies the step
-    matrix, a 0-bit the squaring matrix, starting from the initial
-    state.  5 components at k = 8, 3 for k in 4..7.
+    Read most significant bit first, the word applies the step matrix
+    per 1-bit and the squaring matrix per 0-bit to the initial state (5
+    components at k = 8, 3 for k in 4..7).  g zeros in a row, g from
+    ``_gap_width``, apply the projector initial * functional, so the
+    word is split at every g zeros into blocks (a longer zero run leaves
+    its remainder at the head of the next block, and empty blocks of
+    value 1).  Every block but the last contributes the scalar
+    functional . state(block), and the last block's state is scaled by
+    their product, taken in a balanced tree.  Inside a block a run of L
+    ones is step**L by repeated squaring and each zero is one squaring
+    matrix.  Equal blocks are evaluated once.
     """
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
-    v = initial_vector(k)
-    for ch in bin(n)[2:]:
-        v = mat_vec(step if ch == "1" else square, v)
-    return v
+    initial, functional = initial_vector(k), cardinality_functional(k)
+    *head, last = bin(n)[2:].split("0" * _gap_width(k))
+    scale = _product(
+        sum(map(mul, functional, _block_state(block, step, square, initial))) ** count
+        for block, count in Counter(head).items()
+    )
+    return tuple(scale * x for x in _block_state(last, step, square, initial))
 
 
 def matrix_term(n: int, k: int = 8) -> int:
-    """term(k, n) by the matrix word, exact for any n >= 0, k in 4..8."""
-    return sum(f * x for f, x in zip(cardinality_functional(k), matrix_state(n, k)))
+    """term(k, n) = functional . matrix_state(n, k), exact for any n >= 0
+    and k in 4..8."""
+    return sum(map(mul, cardinality_functional(k), matrix_state(n, k)))
 
 
 def matrix_term_range(limit: int, k: int = 8) -> np.ndarray:

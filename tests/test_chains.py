@@ -18,6 +18,7 @@ from symnabla.chains import (
     decompose,
     format_chain,
     initial_vector,
+    mat_identity,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -307,6 +308,13 @@ def test_exact_matrix_helpers():
     assert mat_pow(m, 0) == ident
     assert mat_pow(m, 3) == mat_mul(m, mat_mul(m, m))
     assert mat_vec(m, (1, 1)) == (3, 7)
+    for a in (m, ((0, 1), (0, 0)), transfer_matrix(8).rows, squaring_matrix(8).rows):
+        expected = mat_identity(len(a))
+        for e in range(41):
+            assert mat_pow(a, e) == expected, (a, e)
+            expected = mat_mul(expected, a)
+    with pytest.raises(DomainError):
+        mat_pow(m, -1)
 
 
 def test_struct_vec_validation():

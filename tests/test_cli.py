@@ -1,5 +1,6 @@
 """Command line behaviour: output formats, exit codes, error routing."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,13 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symnabla
 from symnabla import cli
 from symnabla.cli import build_parser, main
 from symnabla.errors import TransportError
 from symnabla.oeis import parse_bfile
-from symnabla.recurrence import fast_term, matrix_term
+from symnabla.recurrence import METHODS, fast_term, matrix_term
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -447,3 +450,83 @@ def test_console_script_help():
     assert proc.returncode == 0
     for name in ("term", "seq", "sparse", "chains", "structure", "verify", "reduce"):
         assert name in proc.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early (as `| head -c 100` does) gets no traceback.
+
+    The output, several MB, outgrows the pipe buffer, so the child is
+    still writing when the pipe closes.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symnabla", "seq", "--k", "8", "--limit", "300000", "--format", "bfile"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CHILD_ENV,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b"0 1\n1 8\n")
+    assert "Traceback" not in err and err == ""
+
+
+def test_huge_sizes_are_refused_before_any_work(capsys):
+    # 1 << t for t = 2**70 cannot even be formed; the cap refuses first
+    for command in ("chains", "structure"):
+        code, out, err = run_cli(capsys, command, "--k", "8", "--n", str(2**70))
+        assert (code, out) == (3, "")
+        assert "over the cap" not in err and "more than the cap of 16777216" in err
+    # the coverage scan does not enumerate 0..limit
+    code, out, err = run_cli(
+        capsys, "oeis", "--k", "2", "--bfile", str(FIXTURES / "b001316.txt"), "--limit", str(2**70)
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: b-file does not cover indices 64..{2**70} (needs 0..{2**70})\n"
+    code, _, err = run_cli(capsys, "term", "--k", "2", "--n", str(2**63), "--method", "brute")
+    assert code == 3 and "2**62" in err
+
+
+SIZES = (-1, 0, 1, 2, 3, 7, 11, 2**31 - 1, 2**62, 2**63 - 1, 2**63, 2**64 + 1, 2**70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(("term", "seq", "sparse", "chains", "structure", "verify", "reduce", "oeis")),
+    k=st.integers(-1, 13),
+    size=st.sampled_from(SIZES),
+    method=st.sampled_from(METHODS),
+    fmt=st.sampled_from(("plain", "csv", "json", "bfile")),
+    cap=st.sampled_from((-1, 0, 1, 64, 500)),
+    # large counts are left out: sparse --count has no bound yet
+    count=st.integers(-2, 40),
+)
+def test_cli_fuzz_exit_codes(command, k, size, method, fmt, cap, count):
+    """Any argument mix ends in a documented exit code, never a traceback."""
+    argv = [command]
+    if command != "reduce":
+        argv += ["--k", str(k)]
+    if command in ("term", "reduce", "chains", "structure"):
+        argv += ["--n", str(size)]
+    elif command in ("seq", "oeis"):
+        argv += ["--limit", str(size)]
+    elif command == "verify":
+        argv += ["--max-n", str(size)]
+    else:
+        argv += ["--count", str(count)]
+    if command in ("term", "seq"):
+        argv += ["--method", method]
+    if command == "oeis":
+        argv += ["--bfile", str(FIXTURES / "b001316.txt")]
+    if command not in ("sparse", "reduce", "oeis"):
+        argv += ["--max-elements", str(cap)]
+    argv += ["--format", fmt]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the format or a value
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -297,6 +297,17 @@ def test_square_is_self_product(sets):
     assert len(sym_square(a)) == len(a)
 
 
+def test_square_refuses_exponents_past_int64():
+    """Doubling an exponent of 2**62 would wrap int64 to a negative row."""
+    for fn in (sym_power, brute_card):
+        with pytest.raises(SizeLimitError, match="below 2\\*\\*62"):
+            fn(2, 2**63)
+    assert brute_card(2, 2**62) == 2  # the last squaring reaches 2**62 itself
+    with pytest.raises(SizeLimitError):
+        sym_square(SymSet(2, [[2**62]]))
+    assert sym_square(SymSet(2, [[2**62 - 1]])).exponents.tolist() == [[2**63 - 2]]
+
+
 def test_wide_exponents_use_row_fallback():
     """Exponents too wide for 63-bit packing still multiply correctly."""
     k = 30  # ten primes, so packed fields cannot fit once exponents grow

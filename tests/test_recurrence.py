@@ -3,12 +3,14 @@ five-state bit automaton, and the rewriting system."""
 
 import json
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symnabla.chains import initial_vector, mat_vec, squaring_matrix, transfer_matrix
 from symnabla.core import brute_card, power_card_sequence
 from symnabla.errors import DomainError
 from symnabla.recurrence import (
@@ -24,6 +26,7 @@ from symnabla.recurrence import (
     matrix_term_range,
     reduce_term,
     sparse_term,
+    sparse_terms,
     term,
 )
 
@@ -139,6 +142,60 @@ def test_matrix_state_evolution():
     # the functional reads components 0, 2, 4
     v = matrix_state(27)
     assert v[0] + v[2] + v[4] == 2216
+
+
+def walk_state(n, k=8):
+    """The matrix word one bit at a time, most significant first: the
+    step matrix per 1-bit, the squaring matrix per 0-bit."""
+    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
+    v = initial_vector(k)
+    for bit in bin(n)[2:]:
+        v = mat_vec(step if bit == "1" else square, v)
+    return v
+
+
+def word_inputs():
+    rng = random.Random(20261018)
+    ns = list(range(1024))  # n = 0 and every short word
+    # single zeros, zero runs of exactly 2, zero runs of 3 or more
+    ns += [0b1011, 0b1010101, 0b11011011, 0b1001, 0b11001, 0b1001001, 0b111001110011]
+    ns += [0b10001, 0b1000001, 0b11000111, (1 << 40) + 1, 0b1101 << 50 | 0b1011]
+    for bits in (2, 5, 17, 64, 300, 1000, 3000):
+        ones = (1 << bits) - 1
+        runs = ones
+        for pos in rng.sample(range(bits - 1), max(1, bits // 48)):
+            runs &= ~(1 << pos)  # long runs broken by sparse single zeros
+        ns += [ones, runs | (1 << (bits - 1)), (1 << (bits - 1)) | rng.getrandbits(bits - 1)]
+    # trailing zeros, one to more than the gap width
+    ns += [m << shift for m in ns[1020:1040] for shift in (1, 2, 3, 7)]
+    return ns
+
+
+def test_matrix_state_equals_the_per_bit_walk():
+    ns = word_inputs()
+    for k in (4, 5, 6, 7, 8):
+        for n in ns:
+            assert matrix_state(n, k) == walk_state(n, k), (k, n)
+            if k < 8:
+                assert fast_term(k, n) == matrix_term(n, k), (k, n)
+
+
+def test_matrix_term_equals_reduce_on_long_random_words():
+    rng = random.Random(5)
+    for bits in (1000, 3000, 7000, 12000, 20000):
+        n = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+        assert matrix_term(n) == reduce_term(n), bits
+
+
+def test_sparse_jumps_equal_the_recurrence_walk():
+    for k in range(2, 9):
+        walk = list(islice(sparse_terms(k), 301))
+        assert [sparse_term(k, t) for t in range(301)] == walk
+    for k in (4, 5, 6, 7):
+        walk = list(islice(sparse_terms(k), 5001))
+        for t in (0, 1, 2, 3, 4, 31, 256, 1000, 4999, 5000):
+            n = (1 << t) - 1
+            assert sparse_term(k, t) == walk[t] == fast_term(k, n) == matrix_term(n, k), (k, t)
 
 
 def test_matrix_term_matches_brute():
