@@ -526,5 +526,5 @@ def verify_transfer(
             squared = sym_square(current)
             _check_vector(k, n, "square", square.apply(sv.vector()), census(squared), failures)
             current = sym_prod(squared, base)
-            _check_cap(current, max_elements)
+            _check_cap(len(current), max_elements)
     return TransferReport(k, n_max, tuple(vectors), tuple(failures))

@@ -35,14 +35,25 @@ n = 8, say) steps ``SymSet`` values with ``sym_square`` and
 take an element cap and raise SizeLimitError instead of exhausting
 memory.
 
+The dense sweep ``power_card_sequence`` uses the ring's characteristic
+2 twice.  With H = {1, ..., k} and S = H**m, H**(2m) is S with every
+element squared, so a(2m) = |S|.  And H**(2m+1) is the sum over the
+square-free c of c * (S * Q_c)**2, with Q_c = {q : c * q**2 <= k}; the
+classes never cancel one another, so a(2m+1) = sum over c of |S * Q_c|,
+at k = 8 equal to 4|S| + 2|S * {1, 2}|.  The sweep therefore builds only
+the powers up to limit/2.  ``brute_card`` and ``sym_power`` stay plain
+square-and-multiply on sets, the independent oracle.
+
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -370,7 +381,9 @@ def sym_diff(a: SymSet, b: SymSet) -> SymSet:
 def sym_prod(a: SymSet, b: SymSet) -> SymSet:
     """Symmetric product: pairwise products with even-count cancellation.
 
-    The annihilator rule holds: S * empty == empty.
+    The annihilator rule holds: S * empty == empty.  Raises
+    SizeLimitError when a column's largest exponents sum to 2**63 or
+    more, since the summed rows would not fit in int64.
     """
     _check_same_ring(a, b)
     if len(a) == 0 or len(b) == 0:
@@ -384,6 +397,12 @@ def sym_prod(a: SymSet, b: SymSet) -> SymSet:
         # Only {1} is representable over an empty basis; {1}*{1} == {1}.
         return SymSet(a.k, ea[:1], _internal=True)
     maxima = ea.max(axis=0) + eb.max(axis=0)
+    if (maxima < 0).any():  # a column sum reached 2**63 and wrapped
+        top = max(int(x) + int(y) for x, y in zip(ea.max(axis=0), eb.max(axis=0)))
+        raise SizeLimitError(
+            f"product would reach an exponent of {top}; summed exponents "
+            "must stay below 2**63 so that product rows fit in int64"
+        )
     shifts, total = _field_shifts(maxima)
     if total <= 63:
         ka = _pack(ea, shifts)  # canonical row order makes these ascending
@@ -444,11 +463,10 @@ def _check_pairs(m: int, p: int) -> None:
         )
 
 
-def _check_cap(s, cap: int) -> None:
-    """s is a SymSet or an array of packed keys; both have a length."""
-    if len(s) > cap:
+def _check_cap(size: int, cap: int) -> None:
+    if size > cap:
         raise SizeLimitError(
-            f"symmetric power reached {len(s)} elements, over the cap {cap}"
+            f"symmetric power reached {size} elements, over the cap {cap}"
         )
 
 
@@ -477,12 +495,12 @@ def _times_keys(keys: np.ndarray, kb: np.ndarray) -> np.ndarray:
 def _square_and_multiply(base, n: int, square, times, cap: int):
     """Power n >= 1 of base, checking the cap after every step."""
     result = base
-    _check_cap(result, cap)
+    _check_cap(len(result), cap)
     for bit in bin(n)[3:]:
         result = square(result)
         if bit == "1":
             result = times(result, base)
-        _check_cap(result, cap)
+        _check_cap(len(result), cap)
     return result
 
 
@@ -536,28 +554,73 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     return len(_power(k, n, max_elements)[0])
 
 
+@lru_cache(maxsize=None)
+def _square_classes(k: int) -> tuple[tuple[int, int], ...]:
+    """The square classes of {1, ..., k} as (r, count) pairs, r ascending.
+
+    Every h <= k is c * q**2 for exactly one square-free c.  The class
+    of c holds the h with q in {1, ..., r}, r = isqrt(k // c), and count
+    is the number of square-free c <= k with that r.  At k = 8 this is
+    ((1, 4), (2, 2)): the classes of 3, 5, 6, 7 and of 1, 2.
+    """
+    square_free = (
+        c for c in range(1, k + 1) if all(c % (d * d) for d in range(2, isqrt(c) + 1))
+    )
+    return tuple(sorted(Counter(isqrt(k // c) for c in square_free).items()))
+
+
 def power_card_sequence(
     k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP
 ) -> list[int]:
-    """Cardinalities of powers 0..limit by one multiply per step.
+    """Cardinalities of powers 0..limit, building powers up to limit/2 only.
 
-    Equivalent to [brute_card(k, n) for n in range(limit + 1)] but far
-    cheaper for a dense sweep, since power n is reused for power n+1.
-    The sweep runs on sorted int64 keys whose fields are sized once for
-    power limit and only counts them; layouts wider than 63 bits step
-    SymSets with sym_prod instead.
+    Equivalent to [brute_card(k, n) for n in range(limit + 1)].  The
+    ring has characteristic 2, so H**(2m) is the elementwise square of
+    S = H**m and a(2m) = |S|.  Also H**(2m+1) = sum over h of h * S**2;
+    writing h = c * q**2 with c square-free, the terms of one class sum
+    to c * (S * Q_c)**2 with Q_c = {q : c * q**2 <= k}, and different
+    classes never cancel, because c is the square-free part of every
+    element c * x**2.  Hence a(2m+1) = sum over c of |S * Q_c|, which at
+    k = 8 is 4|S| + 2|S * {1, 2}|.
+
+    The sweep steps S = H**m on sorted int64 keys, whose fields are
+    sized for power limit, for m <= limit/2 only, reports a(2m) and
+    a(2m+1) from it, and checks the element cap on every reported
+    cardinality in index order.  Every set it holds is no larger than
+    some reported a(n).  Layouts wider than 63 bits instead step SymSets
+    with sym_prod through every power 0..limit.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     base = make_base_set(k)
     packed = _base_keys(base, limit)
     if packed is None:
-        current, factor, times = SymSet.from_values(k, [1]), base, sym_prod
-    else:
-        current, factor, times = np.zeros(1, dtype=np.int64), packed[0], _times_keys
-    cards = [1]
-    for _ in range(limit):
-        current = times(current, factor)
-        _check_cap(current, max_elements)
-        cards.append(len(current))
+        current = SymSet.from_values(k, [1])
+        cards = [1]
+        for _ in range(limit):
+            current = sym_prod(current, base)
+            _check_cap(len(current), max_elements)
+            cards.append(len(current))
+        return cards
+    kb, maxima = packed
+    shifts = _field_shifts(maxima)[0]
+    # Q_c = {1, ..., r} packed, or None for r = 1, where S * Q_c is S
+    classes = [
+        (count, _pack(SymSet.from_values(k, range(1, r + 1)).exponents, shifts) if r > 1 else None)
+        for r, count in _square_classes(k)
+    ]
+    power = np.zeros(1, dtype=np.int64)  # S = H**0 = {1}
+    cards = []
+    for n in range(limit + 1):
+        if n % 2:
+            card = sum(
+                count * (power.size if q is None else _times_keys(power, q).size)
+                for count, q in classes
+            )
+        else:
+            if n:
+                power = _times_keys(power, kb)
+            card = power.size
+        _check_cap(card, max_elements)
+        cards.append(card)
     return cards

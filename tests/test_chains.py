@@ -28,7 +28,15 @@ from symnabla.chains import (
     verify_transfer,
 )
 from symnabla.cli import main
-from symnabla.core import ElementVec, SymSet, make_base_set, sym_power, sym_prod, sym_square
+from symnabla.core import (
+    ElementVec,
+    SymSet,
+    brute_card,
+    make_base_set,
+    sym_power,
+    sym_prod,
+    sym_square,
+)
 from symnabla.errors import DomainError
 
 
@@ -262,6 +270,25 @@ def test_squaring_and_step_matrices_replay_dense_powers():
             squared = sym_square(power)
             assert census(squared).vector() == square.apply(vec), (k, n)
             assert census(sym_prod(squared, base)).vector() == step.apply(vec), (k, n)
+
+
+def test_doubling_toggle_counts_maximal_runs():
+    """|S_n * {1, 2}| = |S_n xor 2 S_n| is twice the number of maximal
+    doubling runs: 2(c + r) for k = 4..7 and 2(c + u + r) at k = 8, where
+    every member of a ratio-4 chain is a run of its own.  With it the
+    square-class split gives a(2n + 1) = (k - 2t)|S_n| + t|S_n * {1, 2}|,
+    t being the number of h = c * q**2 <= k with q = 2 (one below k = 8,
+    two at k = 8)."""
+    for k in (4, 5, 6, 7, 8):
+        doubling = SymSet.from_values(k, [1, 2])
+        t = 2 if k == 8 else 1
+        for n in range(40):
+            power = sym_power(k, n)
+            sv = census(power)
+            runs = sv.c + sv.u + sv.r  # u = 0 below k = 8
+            toggled = len(sym_prod(power, doubling))
+            assert toggled == 2 * runs, (k, n)
+            assert brute_card(k, 2 * n + 1) == (k - 2 * t) * len(power) + t * toggled, (k, n)
 
 
 def test_functional_reads_cardinality():

@@ -1,5 +1,7 @@
 """Set-ring semantics: toggle products, powers, caps, encodings."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,12 +133,35 @@ def test_square_and_multiply_matches_iterated_product():
             assert got.exponents.dtype == np.int64 and not got.exponents.flags.writeable
 
 
+def test_square_classes_cover_the_base_set():
+    """Each h <= k is c * q**2 with c square-free; a class is {1..r} times c."""
+    for k in range(1, MAX_K + 1):
+        classes = {}
+        for h in range(1, k + 1):
+            q = max(q for q in range(1, h + 1) if h % (q * q) == 0)
+            classes.setdefault(h // (q * q), []).append(q)
+        want = Counter(len(qs) for qs in classes.values())
+        assert all(qs == list(range(1, len(qs) + 1)) for qs in classes.values())
+        assert core._square_classes(k) == tuple(sorted(want.items()))
+    assert core._square_classes(8) == ((1, 4), (2, 2))  # 3, 5, 6, 7 and 1, 2
+
+
 def test_sequence_sweep_matches_per_index_oracle():
-    sweeps = [(1, 10), (2, 64), (3, 40), (4, 24), (5, 16), (6, 16), (7, 16), (8, 24), (12, 9)]
+    """The split sweep equals the plain per-step sweep and brute_card.
+
+    Odd and even limits both occur, so the last index is sometimes read
+    from the square classes; limits 0, 1 and 2 use narrower layouts.
+    """
+    sweeps = [
+        (1, 12), (2, 96), (3, 64), (4, 64), (5, 63), (6, 64),
+        (7, 63), (8, 64), (9, 96), (10, 63), (11, 48), (12, 64),
+    ]
     for k, limit in sweeps:
-        seq = power_card_sequence(k, limit)
-        assert seq == [len(s) for s in iterated_powers(k, limit)]
-        assert seq == [brute_card(k, n) for n in range(limit + 1)]
+        want = [len(s) for s in iterated_powers(k, limit)]
+        assert power_card_sequence(k, limit) == want
+        assert want == [brute_card(k, n) for n in range(limit + 1)]
+        for edge in (0, 1, 2):
+            assert power_card_sequence(k, edge) == want[: edge + 1]
     assert power_card_sequence(8, 0) == [1]
 
 
@@ -306,6 +331,20 @@ def test_square_refuses_exponents_past_int64():
     with pytest.raises(SizeLimitError):
         sym_square(SymSet(2, [[2**62]]))
     assert sym_square(SymSet(2, [[2**62 - 1]])).exponents.tolist() == [[2**63 - 2]]
+
+
+def test_product_refuses_exponent_sums_past_int64():
+    """Summing two exponents of 2**62 would wrap int64 to a negative row."""
+    with pytest.raises(SizeLimitError, match="below 2\\*\\*63"):
+        sym_prod(SymSet(2, [[2**62]]), SymSet(2, [[2**62]]))
+    with pytest.raises(SizeLimitError, match="below 2\\*\\*63"):
+        sym_prod(SymSet(4, [[0, 2**63 - 1]]), SymSet(4, [[5, 1]]))
+    with pytest.raises(SizeLimitError, match="exponent of 18446744073709551614"):
+        sym_prod(SymSet(2, [[2**63 - 1]]), SymSet(2, [[2**63 - 1]]))
+    top = SymSet(2, [[2**62 - 1]])
+    assert sym_prod(top, SymSet(2, [[2**62]])).exponents.tolist() == [[2**63 - 1]]
+    wide = SymSet(4, [[2**61, 2**61], [2**60, 0]])  # 126 bits: row fallback
+    assert sym_prod(wide, wide).exponents.tolist() == [[2**61, 0], [2**62, 2**62]]
 
 
 def test_wide_exponents_use_row_fallback():
