@@ -4,8 +4,10 @@ The package computes, three independent ways, the cardinality of the
 n-th symmetric power of {1, ..., k} under the symmetric product (pairwise
 integer products with even-multiplicity cancellation): by building the
 sets (``brute_card``), by structural recurrences on the binary expansion
-of n (``fast_term`` / ``matrix_term`` / ``reduce_term``), and by chain
-censuses stepped with fixed transfer matrices (``verify_transfer``).
+of n (``fast_term`` / ``matrix_term`` / ``reduce_term``, with
+``matrix_term_range`` / ``reduce_term_range`` sweeping whole prefixes),
+and by chain censuses stepped with fixed transfer matrices
+(``verify_transfer``).
 For k in 1..4 the resulting sequences are catalogued in the OEIS and can
 be cross-checked against b-files (``symnabla.oeis``).
 """
@@ -73,6 +75,7 @@ from .recurrence import (
     matrix_term,
     matrix_term_range,
     reduce_term,
+    reduce_term_range,
     sparse_term,
     term,
 )
@@ -125,6 +128,7 @@ __all__ = [
     "parse_bfile",
     "power_card_sequence",
     "reduce_term",
+    "reduce_term_range",
     "serialize_bfile",
     "sparse_term",
     "sym_diff",

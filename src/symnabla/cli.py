@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from itertools import islice
@@ -40,7 +41,15 @@ from .errors import (
     TransportError,
 )
 from .oeis import catalogued_id, crosscheck, fetch_bfile, parse_bfile
-from .recurrence import METHODS, matrix_term_range, reduce_term, resolve_method, sparse_terms, term
+from .recurrence import (
+    METHODS,
+    matrix_term_range,
+    reduce_term,
+    reduce_term_range,
+    resolve_method,
+    sparse_terms,
+    term,
+)
 
 
 def _print_csv(header: list[str], rows: list[list]) -> None:
@@ -52,7 +61,9 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 def _print_values(values: list[int], fmt: str, index: str, json_fields: dict) -> None:
     """Print a sequence indexed from 0, in the formats seq and sparse share."""
     if fmt == "plain":
-        print(" ".join(str(v) for v in values))
+        # joined slice by slice, so only one slice of str objects is alive at a time
+        step = 1 << 16
+        print(" ".join(" ".join(map(str, values[i : i + step])) for i in range(0, len(values), step)))
     elif fmt == "csv":
         _print_csv([index, "value"], [[i, v] for i, v in enumerate(values)])
     elif fmt == "json":
@@ -76,15 +87,41 @@ def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]
     engine = resolve_method(k, method)
     if engine == "brute":
         return power_card_sequence(k, limit, max_elements=max_elements)
+    try:
+        if engine == "reduce":
+            return reduce_term_range(limit).tolist()
+        if method in ("auto", "matrix") and 4 <= k <= 8:
+            return matrix_term_range(limit, k).tolist()
+    except DomainError:
+        pass  # the int64 guard tripped; fall back to per-index calls
     if engine == "reduce":
         cache: dict[int, int] = {}
         return [reduce_term(n, cache=cache) for n in range(limit + 1)]
-    if method in ("auto", "matrix") and 4 <= k <= 8:
-        try:
-            return [int(v) for v in matrix_term_range(limit, k)]
-        except DomainError:
-            pass  # overflow guard tripped; fall back to per-index calls
     return [term(k, n, engine, max_elements=max_elements) for n in range(limit + 1)]
+
+
+def _sparse_values(k: int, count: int, max_digits: int = DEFAULT_ELEMENT_CAP) -> list[int]:
+    """The first count terms of the all-ones family, refused before
+    they are computed when their decimal digits could pass max_digits.
+
+    The bound needs no term.  By the square-class split,
+    a(2m + 1) = sum over the square-free c of |H^m * Q_c| <= k * a(m),
+    since the classes Q_c hold k elements in all; so term t, a(2**t - 1),
+    is at most k**t and has at most floor(t * log10(k)) + 1 digits.
+    """
+    _check_size("count", count)
+    if count == 0:
+        return []
+    terms = sparse_terms(k)
+    values = [next(terms)]  # raises for a k outside 2..8
+    digits = count + math.ceil(math.log10(k) * (count * (count - 1) // 2))
+    if digits > max_digits:
+        raise SizeLimitError(
+            f"the first {count} sparse terms may hold up to {digits} digits, "
+            f"over the cap {max_digits}"
+        )
+    values += islice(terms, count - 1)
+    return values
 
 
 def cmd_term(args) -> int:
@@ -107,8 +144,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_sparse(args) -> int:
-    _check_size("count", args.count)
-    values = list(islice(sparse_terms(args.k), args.count))
+    values = _sparse_values(args.k, args.count)
     _print_values(values, args.format, "t", {"k": args.k})
     return 0
 
@@ -198,14 +234,10 @@ def cmd_reduce(args) -> int:
             print(trace.to_text())
         print(f"value {value}")
     else:  # json
-        payload = {
-            "n": args.n,
-            "value": value,
-            "optional_rules": args.optional_rules,
-        }
-        if trace is not None:
-            payload["trace"] = trace.as_dict()
-        print(json.dumps(payload))
+        text = json.dumps({"n": args.n, "value": value, "optional_rules": args.optional_rules})
+        if trace is not None:  # the trace is the last key, written by its own encoder
+            text = f'{text[:-1]}, "trace": {trace.to_json()}}}'
+        print(text)
     return 0
 
 

@@ -25,7 +25,12 @@ expansion of n without building any sets:
 * ``reduce_term(n)`` for k = 8: a memoised rewriting system on binary
   expansions with base cases {0, 1, 3} and five core rules (plus two
   optional shortcut rules that never change values).  It can return the
-  full derivation as a ReductionTrace.
+  full derivation as a ReductionTrace;
+* ``reduce_term_range(limit)``: the same rules for every n in
+  0..limit, evaluated one bit length at a time on int64 arrays, since
+  every child has fewer bits than its parent.  Like
+  ``matrix_term_range``, it refuses limits whose values could wrap
+  int64.
 
 All matrix powers go through one kernel in ``chains`` that applies
 cached repeated squarings, so the cost grows with the number of runs
@@ -39,6 +44,8 @@ the brute oracle.
 
 from __future__ import annotations
 
+import io
+import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -65,7 +72,7 @@ from .chains import (
     vec_outer,
 )
 from .core import DEFAULT_ELEMENT_CAP, MAX_K, brute_card
-from .errors import DomainError
+from .errors import DomainError, SizeLimitError
 
 # Sparse-subsequence recurrences: k -> (seeds, coefficients), meaning
 # sparse(t) = seeds[t] while available, then
@@ -250,14 +257,28 @@ def matrix_term(n: int, k: int = 8) -> int:
     return sum(map(mul, cardinality_functional(k), matrix_state(n, k)))
 
 
-def matrix_term_range(limit: int, k: int = 8) -> np.ndarray:
-    """term(k, n) for all n in 0..limit and k in 4..8, as an int64 array.
+def _check_int64_sweep(limit: int, k: int, per_index: str) -> None:
+    """Refuse an int64 sweep over 0..limit that could wrap: a limit of L
+    bits passes while 32 * sparse_term(k, L) < 2**63.
 
-    A level-by-level dynamic program over the bit words: state(2m) and
-    state(2m+1) both derive from state(m).  int64 is provably safe as
-    long as 32 * sparse_term(k, bits(limit)) fits, since every state
-    component is bounded by the all-ones term of the same bit length;
-    beyond that the call is refused (use matrix_term per index).
+    Every value a(n) with n < 2**L is at most sparse_term(k, L), the
+    all-ones term of that length.  At k = 8 the matrix word proves it:
+    the step and squaring matrices, the initial state and the functional
+    are nonnegative, and the squaring matrix is entrywise at most the
+    step matrix, so turning 0-bits of n into 1-bits never lowers a state
+    component.  For k = 4..7 the step matrix has negative entries, and
+    the bound is checked on every n below 2**14 in the tests.
+
+    Both sweeps keep their intermediates below 32 * sparse_term(k, L).
+    A matrix-word state component counts elements or chains of the
+    power, so it is at most a(n); a step reads the parent's state, of
+    L - 1 bits, through a matrix row whose absolute values sum to at
+    most 18.  A rewriting rule reads children of fewer bits: a gap
+    split's product is the value itself, and each core linear rule's
+    coefficients sum in absolute value to at most 41 (suffix_011).  So
+    every partial sum is at most 41 * sparse(k, L - 1), below
+    32 * sparse(k, L) since sparse(8, L) >= 6 * sparse(8, L - 1) and
+    the other k grow by a factor of at least 3 per bit.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
@@ -265,8 +286,19 @@ def matrix_term_range(limit: int, k: int = 8) -> np.ndarray:
     if 32 * sparse_term(k, max(bits, 1)) >= 2**63:
         raise DomainError(
             f"values near 2**{bits} bits overflow the int64 sweep; "
-            "call matrix_term per index instead"
+            f"call {per_index} per index instead"
         )
+
+
+def matrix_term_range(limit: int, k: int = 8) -> np.ndarray:
+    """term(k, n) for all n in 0..limit and k in 4..8, as an int64 array.
+
+    A level-by-level dynamic program over the bit words: state(2m) and
+    state(2m+1) both derive from state(m).  A limit whose values could
+    wrap int64 is refused (``_check_int64_sweep``); use matrix_term per
+    index there.
+    """
+    _check_int64_sweep(limit, k, "matrix_term")
     step_t = np.array(transfer_matrix(k).rows, dtype=np.int64).T
     square_t = np.array(squaring_matrix(k).rows, dtype=np.int64).T
     initial = initial_vector(k)
@@ -305,46 +337,77 @@ CORE_RULES = ("strip_zeros", "gap_split", "suffix_01", "suffix_011", "block_111"
 OPTIONAL_RULES = ("suffix_011011", "suffix_101011", "prefix_10101")
 
 
+def _rule_children(rule: str, n, i):
+    """The children of n under a rule, for a Python int or an int64
+    array alike.  i is the rule's bit position: the number of trailing
+    zeros, the low bit of the lowest 00 gap or 111 block, or the number
+    of bits below the 10101 prefix."""
+    if rule == "strip_zeros":
+        return (n >> i,)
+    if rule == "gap_split":
+        return (n & ((1 << i) - 1), n >> (i + 2))
+    if rule == "suffix_01":
+        return (n >> 2,)
+    if rule == "suffix_011":
+        return (((n >> 3) << 1) | 1, n >> 3)
+    if rule == "block_111":
+        low, high = n & ((1 << i) - 1), n >> (i + 3)
+        return (
+            (high << (i + 2)) | (0b11 << i) | low,
+            (high << (i + 1)) | (1 << i) | low,
+            (high << i) | low,
+        )
+    if rule == "suffix_011011":
+        head = n >> 6
+        return ((head << 3) | 0b011, head)
+    if rule == "suffix_101011":
+        head = n >> 6
+        return ((head << 4) | 0b1011, (head << 2) | 0b11)
+    # prefix_10101
+    low = n & ((1 << i) - 1)
+    return ((0b101 << i) | low, (1 << i) | low)
+
+
+def _low_bit(x: int) -> int:
+    """Index of the lowest set bit of x > 0."""
+    return (x & -x).bit_length() - 1
+
+
 def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
     """Deterministic rule choice: trailing zeros first, then the lowest
     double-zero gap, then (optionally) the shortcut patterns, then the
     01 / 011 suffixes, finally the lowest 111 block.  Every child has
-    strictly fewer bits, so rewriting terminates."""
+    strictly fewer bits, so rewriting terminates.
+
+    The patterns are bit tests: bits i and i + 1 of n are both zero
+    where z & (z >> 1) has bit i set, with z the complement of n within
+    its bit length, and bits i..i + 2 are all ones where
+    n & (n >> 1) & (n >> 2) does."""
     if n in _BASE_VALUES:
         return "base", ()
-    s = bin(n)[2:]
-    if s[-1] == "0":
-        shift = len(s) - len(s.rstrip("0"))
-        return "strip_zeros", (n >> shift,)
-    p = s.rfind("00")
-    if p != -1:
-        i = len(s) - 2 - p  # low index of the gap; i >= 1 since n is odd
-        return "gap_split", (n & ((1 << i) - 1), n >> (i + 2))
+    if not n & 1:
+        return "strip_zeros", _rule_children("strip_zeros", n, _low_bit(n))
+    length = n.bit_length()
+    z = n ^ ((1 << length) - 1)
+    gaps = z & (z >> 1)
+    if gaps:
+        return "gap_split", _rule_children("gap_split", n, _low_bit(gaps))
     if optional_rules:
-        if s.endswith("011011"):
-            head = n >> 6
-            return "suffix_011011", ((head << 3) | 0b011, head)
-        if s.endswith("101011"):
-            head = n >> 6
-            return "suffix_101011", ((head << 4) | 0b1011, (head << 2) | 0b11)
-        if len(s) >= 5 and s.startswith("10101"):
-            t = len(s) - 5
-            low = n & ((1 << t) - 1)
-            return "prefix_10101", ((0b101 << t) | low, (1 << t) | low)
-    if s.endswith("01"):
-        return "suffix_01", (n >> 2,)
-    if s.endswith("011"):
-        return "suffix_011", (((n >> 3) << 1) | 1, n >> 3)
+        rule = None
+        if length >= 6 and n & 0b111111 == 0b011011:
+            rule = "suffix_011011"
+        elif length >= 6 and n & 0b111111 == 0b101011:
+            rule = "suffix_101011"
+        elif length >= 5 and n >> (length - 5) == 0b10101:
+            rule = "prefix_10101"
+        if rule is not None:
+            return rule, _rule_children(rule, n, length - 5)
+    if n & 0b11 == 0b01:
+        return "suffix_01", _rule_children("suffix_01", n, 0)
+    if n & 0b111 == 0b011:
+        return "suffix_011", _rule_children("suffix_011", n, 0)
     # odd, no 00 gap, not ending 01/011: the expansion must end in 111
-    p = s.rfind("111")
-    i = len(s) - 3 - p
-    low = n & ((1 << i) - 1)
-    high = n >> (i + 3)
-    return "block_111", (
-        (high << (i + 2)) | (0b11 << i) | low,
-        (high << (i + 1)) | (1 << i) | low,
-        (high << i) | low,
-    )
+    return "block_111", _rule_children("block_111", n, _low_bit(n & (n >> 1) & (n >> 2)))
 
 
 def _combine(rule: str, n: int, child_values: tuple[int, ...]) -> int:
@@ -356,13 +419,79 @@ def _combine(rule: str, n: int, child_values: tuple[int, ...]) -> int:
     return sum(c * v for c, v in zip(coeffs, child_values))
 
 
+def _level_rules(n: np.ndarray, length: int):
+    """``_select_rule`` (core rules) for an int64 array n of indices of
+    one bit length: yields (rule, mask of the indices it fires at, their
+    children as arrays), in the rule order.  The positions are the same
+    bit tests, the lowest set bit of x being the popcount of
+    (x & -x) - 1."""
+    z = n ^ ((1 << length) - 1)
+    positions = {
+        "strip_zeros": n,
+        "gap_split": z & (z >> 1),
+        "block_111": n & (n >> 1) & (n >> 2),
+    }
+    masks = (
+        ("base", np.isin(n, list(_BASE_VALUES))),
+        ("strip_zeros", n & 1 == 0),
+        ("gap_split", positions["gap_split"] != 0),
+        ("suffix_01", n & 0b11 == 0b01),
+        ("suffix_011", n & 0b111 == 0b011),
+        ("block_111", np.ones(len(n), dtype=bool)),
+    )
+    todo = np.ones(len(n), dtype=bool)
+    for rule, mask in masks:
+        hit = todo & mask
+        todo &= ~mask
+        if not hit.any():
+            continue
+        if rule == "base":
+            yield rule, hit, ()
+            continue
+        i = 0
+        if rule in positions:
+            x = positions[rule][hit]
+            i = np.bitwise_count((x & -x) - 1).astype(np.int64)
+        yield rule, hit, _rule_children(rule, n[hit], i)
+
+
+def reduce_term_range(limit: int) -> np.ndarray:
+    """term(8, n) for all n in 0..limit by the rewriting system, as an
+    int64 array.
+
+    Every child has fewer bits than its parent, so the indices of bit
+    length L, [2**(L-1), 2**L), read only values of earlier lengths and
+    are evaluated together: ``_level_rules`` picks each index's rule and
+    children with masks, and ``_combine`` applies the rule to the
+    gathered child values.  A limit whose values could wrap int64 is
+    refused (``_check_int64_sweep``); use reduce_term per index there.
+    """
+    _check_int64_sweep(limit, 8, "reduce_term")
+    values = np.empty(limit + 1, dtype=np.int64)
+    length = 0
+    while (1 << length) >> 1 <= limit:
+        lo, hi = (1 << length) >> 1, min((1 << length) - 1, limit)
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        level = values[lo : hi + 1]
+        for rule, hit, children in _level_rules(n, length):
+            if rule == "base":
+                level[hit] = [_combine(rule, m, ()) for m in n[hit].tolist()]
+            else:
+                level[hit] = _combine(rule, None, tuple(values[c] for c in children))
+        length += 1
+    return values
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
     """One node of a derivation: which rule fired at n and what came out.
 
     Shared subproblems appear as shared child nodes (the derivation is
     really a DAG); ``to_text`` prints each non-leaf subtree once and
-    marks repeats.
+    marks repeats.  The other walkers expand the DAG into a tree, so
+    they first count its nodes on the DAG and raise SizeLimitError past
+    DEFAULT_ELEMENT_CAP.  Every walker is iterative, so no derivation
+    depth meets the recursion limit.
     """
 
     n: int
@@ -370,52 +499,119 @@ class ReductionTrace:
     value: int
     children: tuple["ReductionTrace", ...]
 
+    def _post_order(self, visit) -> dict:
+        """id(node) -> visit(node, {id(child): result}) for every node of
+        the DAG, each node visited once, children first."""
+        done: dict[int, object] = {}
+        pending = [self]
+        while pending:
+            node = pending[-1]
+            if id(node) in done:
+                pending.pop()
+                continue
+            missing = [c for c in node.children if id(c) not in done]
+            if missing:
+                pending.extend(missing)
+                continue
+            done[id(node)] = visit(node, done)
+            pending.pop()
+        return done
+
+    def _check_tree_size(self, max_nodes: int = DEFAULT_ELEMENT_CAP) -> None:
+        """Raise SizeLimitError if the expanded tree has more than
+        max_nodes nodes; subtree sizes saturate just past the cap."""
+        cap = max_nodes + 1
+        sizes = self._post_order(
+            lambda node, done: min(cap, 1 + sum(done[id(c)] for c in node.children))
+        )
+        if sizes[id(self)] > max_nodes:
+            raise SizeLimitError(
+                f"the derivation expands to a tree of more than the cap of {max_nodes} nodes"
+            )
+
+    def _preorder(self) -> Iterator["ReductionTrace"]:
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
     def leaves(self) -> Iterator["ReductionTrace"]:
-        if not self.children:
-            yield self
-            return
-        for child in self.children:
-            yield from child.leaves()
+        self._check_tree_size()
+        return (node for node in self._preorder() if not node.children)
 
     def iter_nodes(self) -> Iterator["ReductionTrace"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        self._check_tree_size()
+        return self._preorder()
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bits": bin(self.n)[2:],
-            "rule": self.rule,
-            "value": self.value,
-            "children": [c.as_dict() for c in self.children],
-        }
+        """The tree as nested dicts; a shared subproblem's dict is one
+        object wherever it occurs."""
+        self._check_tree_size()
+        dicts = self._post_order(
+            lambda node, done: {
+                "n": node.n,
+                "bits": bin(node.n)[2:],
+                "rule": node.rule,
+                "value": node.value,
+                "children": [done[id(c)] for c in node.children],
+            }
+        )
+        return dicts[id(self)]
+
+    def to_json(self) -> str:
+        """json.dumps(self.as_dict()), written without nesting calls, so
+        a derivation deeper than the JSON encoder's recursion limit
+        still serialises.  Each piece goes into one growing buffer and is
+        freed at once, which keeps a large trace's peak memory near the
+        size of its text."""
+        self._check_tree_size()
+        out = io.StringIO()
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.write(item)
+                continue
+            out.write(
+                f'{{"n": {item.n}, "bits": "{bin(item.n)[2:]}", '
+                f'"rule": {json.dumps(item.rule)}, "value": {item.value}, "children": ['
+            )
+            stack.append("]}")
+            for j, child in enumerate(reversed(item.children)):
+                if j:
+                    stack.append(", ")
+                stack.append(child)
+        return out.getvalue()
 
     def to_text(self) -> str:
         lines: list[str] = []
         seen: set[int] = set()
-
-        def walk(node: "ReductionTrace", depth: int) -> None:
+        stack = [(self, 0)]
+        while stack:
+            node, depth = stack.pop()
             line = (
                 f"{'  ' * depth}n={node.n} bits={bin(node.n)[2:]} "
                 f"rule={node.rule} value={node.value}"
             )
             if node.children and node.n in seen:
                 lines.append(line + " (expanded above)")
-                return
+                continue
             seen.add(node.n)
             lines.append(line)
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(self, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)
 
 
-def _reduce_values(n: int, optional_rules: bool, cache: dict[int, int]) -> int:
-    """Evaluate the rewriting system iteratively (no recursion limit)."""
+def _reduce_values(
+    n: int,
+    optional_rules: bool,
+    cache: dict[int, int],
+    rules: dict[int, tuple[str, tuple[int, ...]]],
+) -> int:
+    """Evaluate the rewriting system iteratively (no recursion limit),
+    recording in rules the choice made at every node it evaluates."""
     pending = [n]
-    rules: dict[int, tuple[str, tuple[int, ...]]] = {}
     while pending:
         m = pending[-1]
         if m in cache:
@@ -445,12 +641,14 @@ def reduce_term(
     Returns the value, or (value, ReductionTrace) when trace is set.
     A cache dict may be shared across calls for sweeps; entries are
     plain n -> value and are valid under either rule set, since the
-    optional rules never change values.
+    optional rules never change values.  ``reduce_term_range`` evaluates
+    the same rules for a whole prefix at once.
     """
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     values = cache if cache is not None else {}
-    value = _reduce_values(n, optional_rules, values)
+    rules: dict[int, tuple[str, tuple[int, ...]]] = {}
+    value = _reduce_values(n, optional_rules, values, rules)
     if not trace:
         return value
     nodes: dict[int, ReductionTrace] = {}
@@ -460,7 +658,9 @@ def reduce_term(
         if m in nodes:
             pending.pop()
             continue
-        rule, children = _select_rule(m, optional_rules)
+        if m not in rules:  # evaluated by an earlier call sharing the cache
+            rules[m] = _select_rule(m, optional_rules)
+        rule, children = rules[m]
         missing = [c for c in children if c not in nodes]
         if missing:
             pending.extend(missing)

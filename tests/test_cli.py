@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 import symnabla
 from symnabla import cli
 from symnabla.cli import build_parser, main
-from symnabla.errors import TransportError
+from symnabla.errors import DomainError, SizeLimitError, TransportError
 from symnabla.oeis import parse_bfile
-from symnabla.recurrence import METHODS, fast_term, matrix_term
+from symnabla.recurrence import METHODS, fast_term, matrix_term, matrix_term_range, sparse_term, sparse_terms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -112,6 +113,75 @@ def test_sparse_csv_and_json(capsys):
         capsys, "sparse", "--k", "8", "--count", "3", "--format", "json"
     )
     assert code == 0 and out == '{"k": 8, "values": [1, 8, 48]}\n'
+
+
+def test_sparse_count_is_bounded_before_any_term(capsys, monkeypatch):
+    # the digit bound holds for every k: term t has at most floor(t log10 k) + 1 digits
+    for k in range(2, 9):
+        for count in (1, 2, 5, 60, 300):
+            values = cli._sparse_values(k, count)
+            digits = sum(len(str(v)) for v in values)
+            assert digits <= count + math.ceil(math.log10(k) * count * (count - 1) / 2)
+            with pytest.raises(SizeLimitError):
+                cli._sparse_values(k, count, max_digits=digits - 1)
+
+    drawn = []
+
+    def counted(k):
+        for t, value in enumerate(sparse_terms(k)):
+            drawn.append(t)
+            yield value
+
+    monkeypatch.setattr(cli, "sparse_terms", counted)
+    for count in (10**6, 2**70):
+        code, out, err = run_cli(capsys, "sparse", "--k", "8", "--count", str(count))
+        assert (code, out) == (3, "") and "over the cap 16777216" in err
+    assert drawn == [0, 0]  # only the first term, which checks k
+    code, _, err = run_cli(capsys, "sparse", "--k", "9", "--count", str(10**6))
+    assert code == 2 and "k in 2..8" in err
+    # count 0 prints an empty sequence for any k, as before the bound
+    code, out, _ = run_cli(capsys, "sparse", "--k", "1", "--count", "0", "--format", "json")
+    assert (code, out) == (0, '{"k": 1, "values": []}\n')
+
+
+def test_seq_reduce_sweep_falls_back_per_index(capsys, monkeypatch):
+    swept = {}
+    for fmt in ("plain", "json"):
+        code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "600", "--method", "reduce", "--format", fmt)
+        assert code == 0
+        swept[fmt] = out
+
+    def refuse(limit):
+        raise DomainError("values overflow the int64 sweep")
+
+    monkeypatch.setattr(cli, "reduce_term_range", refuse)
+    for fmt in ("plain", "json"):
+        code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "600", "--method", "reduce", "--format", fmt)
+        assert (code, out) == (0, swept[fmt])
+    assert swept["plain"].split() == [str(matrix_term(n)) for n in range(601)]
+
+
+def test_seq_plain_output_spans_several_slices(capsys):
+    limit = 3 * 2**16 + 5  # plain output is joined 2**16 values at a time
+    code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", str(limit), "--method", "reduce")
+    assert code == 0
+    assert out == " ".join(map(str, matrix_term_range(limit).tolist())) + "\n"
+
+
+def test_reduce_trace_of_a_huge_index(capsys):
+    n = str(2**1500 - 1)
+    code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0].startswith(f"n={n} ") and lines[-1] == f"value {sparse_term(8, 1500)}"
+    code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == "error: the derivation expands to a tree of more than the cap of 16777216 nodes\n"
+    # deeper than the JSON encoder's recursion limit, but a small tree
+    deep = int("10" * 750 + "1", 2)
+    code, out, err = run_cli(capsys, "reduce", "--n", str(deep), "--trace", "--format", "json")
+    assert code == 0 and err == ""
+    assert out.startswith(f'{{"n": {deep}, "value": {matrix_term(deep)}, "optional_rules": false, "trace": {{"n": {deep}, ')
 
 
 def test_chains_plain(capsys):
@@ -352,8 +422,9 @@ def test_seq_term_count_is_capped(capsys, monkeypatch):
         raise AssertionError("an engine ran before the cap check")
 
     monkeypatch.setattr(cli, "matrix_term_range", refuse)
+    monkeypatch.setattr(cli, "reduce_term_range", refuse)
     monkeypatch.setattr(cli, "power_card_sequence", refuse)
-    for method in ("auto", "brute"):
+    for method in ("auto", "brute", "reduce"):
         code, out, err = run_cli(
             capsys, "seq", "--k", "8", "--limit", "100", "--method", method, "--max-elements", "50"
         )
@@ -499,8 +570,7 @@ SIZES = (-1, 0, 1, 2, 3, 7, 11, 2**31 - 1, 2**62, 2**63 - 1, 2**63, 2**64 + 1, 2
     method=st.sampled_from(METHODS),
     fmt=st.sampled_from(("plain", "csv", "json", "bfile")),
     cap=st.sampled_from((-1, 0, 1, 64, 500)),
-    # large counts are left out: sparse --count has no bound yet
-    count=st.integers(-2, 40),
+    count=st.integers(-2, 2**70),
 )
 def test_cli_fuzz_exit_codes(command, k, size, method, fmt, cap, count):
     """Any argument mix ends in a documented exit code, never a traceback."""

@@ -10,13 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symnabla.chains import initial_vector, mat_vec, squaring_matrix, transfer_matrix
+from symnabla.chains import (
+    cardinality_functional,
+    initial_vector,
+    mat_vec,
+    squaring_matrix,
+    transfer_matrix,
+)
 from symnabla.core import brute_card, power_card_sequence
-from symnabla.errors import DomainError
+from symnabla.errors import DomainError, SizeLimitError
 from symnabla.recurrence import (
+    _RULE_COEFFS,
     CORE_RULES,
     OPTIONAL_RULES,
     ReductionTrace,
+    _level_rules,
+    _select_rule,
     annihilation_check,
     fast_term,
     gap_split_check,
@@ -25,6 +34,7 @@ from symnabla.recurrence import (
     matrix_term,
     matrix_term_range,
     reduce_term,
+    reduce_term_range,
     sparse_term,
     sparse_terms,
     term,
@@ -264,6 +274,120 @@ def test_reduce_rejects_negative():
         reduce_term(-5)
 
 
+def select_rule_by_strings(n, optional_rules):
+    """The rule choice read off the string bin(n), the reference for the
+    bit tests of _select_rule and the sweep."""
+    if n in (0, 1, 3):
+        return "base", ()
+    s = bin(n)[2:]
+    if s[-1] == "0":
+        shift = len(s) - len(s.rstrip("0"))
+        return "strip_zeros", (n >> shift,)
+    p = s.rfind("00")
+    if p != -1:
+        i = len(s) - 2 - p  # low index of the gap; i >= 1 since n is odd
+        return "gap_split", (n & ((1 << i) - 1), n >> (i + 2))
+    if optional_rules:
+        if s.endswith("011011"):
+            head = n >> 6
+            return "suffix_011011", ((head << 3) | 0b011, head)
+        if s.endswith("101011"):
+            head = n >> 6
+            return "suffix_101011", ((head << 4) | 0b1011, (head << 2) | 0b11)
+        if len(s) >= 5 and s.startswith("10101"):
+            t = len(s) - 5
+            low = n & ((1 << t) - 1)
+            return "prefix_10101", ((0b101 << t) | low, (1 << t) | low)
+    if s.endswith("01"):
+        return "suffix_01", (n >> 2,)
+    if s.endswith("011"):
+        return "suffix_011", (((n >> 3) << 1) | 1, n >> 3)
+    # odd, no 00 gap, not ending 01/011: the expansion must end in 111
+    p = s.rfind("111")
+    i = len(s) - 3 - p
+    low = n & ((1 << i) - 1)
+    high = n >> (i + 3)
+    return "block_111", (
+        (high << (i + 2)) | (0b11 << i) | low,
+        (high << (i + 1)) | (1 << i) | low,
+        (high << i) | low,
+    )
+
+
+def test_bitwise_rule_choice_equals_the_string_reference():
+    rng = random.Random(20261019)
+    long_words = [(1 << (b - 1)) | rng.getrandbits(b - 1) for b in (rng.randint(1, 3000) for _ in range(3000))]
+    # words without a 00 gap reach the suffix and block tests
+    long_words += [int(bin(n)[2:].replace("00", "01"), 2) for n in long_words[:1000]]
+    for optional_rules in (False, True):
+        for n in list(range(1 << 15)) + long_words:
+            assert _select_rule(n, optional_rules) == select_rule_by_strings(n, optional_rules), n
+
+
+def test_sweep_picks_the_rules_of_select_rule():
+    """Each level's masks fire the rule _select_rule picks, with the same
+    children, for every index below 2**15."""
+    for length in range(16):
+        n = np.arange((1 << length) >> 1, 1 << length, dtype=np.int64)
+        seen = np.zeros(len(n), dtype=int)
+        for rule, hit, children in _level_rules(n, length):
+            seen += hit
+            columns = list(zip(*(c.tolist() for c in children))) or [()] * int(hit.sum())
+            for m, kids in zip(n[hit].tolist(), columns):
+                assert (rule, kids) == select_rule_by_strings(m, False), m
+        assert (seen == 1).all()
+
+
+def test_reduce_sweep_equals_per_index_rewriting():
+    for limit in (0, 1, 2, 3, 2**17):
+        cache = {}
+        got = reduce_term_range(limit)
+        assert got.dtype == np.int64 and len(got) == limit + 1
+        assert got.tolist() == [reduce_term(n, cache=cache) for n in range(limit + 1)], limit
+
+
+def test_reduce_sweep_equals_the_matrix_sweep():
+    assert (reduce_term_range(10**6) == matrix_term_range(10**6)).all()
+
+
+def test_reduce_sweep_overflow_guard():
+    # the same guard as the matrix sweep: exact to 22-bit indices, then refused
+    arr = reduce_term_range((1 << 22) - 1)
+    assert int(arr[-1]) == sparse_term(8, 22)
+    assert int(arr[(1 << 22) - 2]) == reduce_term((1 << 22) - 2)
+    with pytest.raises(DomainError, match="reduce_term per index"):
+        reduce_term_range(1 << 22)
+    with pytest.raises(DomainError):
+        reduce_term_range(-1)
+
+
+def test_int64_guard_bounds_hold():
+    """The facts the int64 guard rests on: every state component and
+    value below 2**14 is at most the all-ones term of its bit length, the
+    all-ones terms grow by 6 per bit at k = 8 and by 3 below, and the
+    step rows and the core linear rules keep their absolute sums to 18
+    and 41."""
+    for k in (4, 5, 6, 7, 8):
+        step = np.array(transfer_matrix(k).rows, dtype=np.int64)
+        square = np.array(squaring_matrix(k).rows, dtype=np.int64)
+        states = np.zeros((1 << 14, len(step)), dtype=np.int64)
+        states[0] = initial_vector(k)
+        idx = np.arange(1, 1 << 14)
+        for length in range(1, 15):
+            level = idx[(idx >> (length - 1)) == 1]
+            parents = states[level >> 1]
+            odd = (level & 1) == 1
+            states[level[odd]] = parents[odd] @ step.T
+            states[level[~odd]] = parents[~odd] @ square.T
+            bound = sparse_term(k, length)
+            assert 0 <= states[level].min() and states[level].max() <= bound
+            assert (states[level] @ np.array(cardinality_functional(k))).max() <= bound
+        assert np.abs(step).sum(axis=1).max() <= 18
+        growth = 6 if k == 8 else 3
+        assert all(sparse_term(k, t) >= growth * sparse_term(k, t - 1) for t in range(1, 60))
+    assert max(sum(map(abs, _RULE_COEFFS.get(rule, ()))) for rule in CORE_RULES) == 41
+
+
 def test_trace_for_27():
     """27 = 0b11011 peels one suffix rule, then a triple block."""
     value, trace = reduce_term(27, trace=True)
@@ -318,6 +442,59 @@ def test_trace_serialisation():
     assert lines[0] == "n=27 bits=11011 rule=suffix_011 value=2216"
     assert lines[1].startswith("  ")  # children indent two spaces per level
     assert isinstance(trace, ReductionTrace)
+
+
+def test_trace_json_is_the_dict_serialised():
+    rng = random.Random(12)
+    samples = list(range(200)) + [rng.getrandbits(b) for b in range(10, 80, 3)]
+    for optional_rules in (False, True):
+        for n in samples:
+            _, trace = reduce_term(n, trace=True, optional_rules=optional_rules)
+            assert trace.to_json() == json.dumps(trace.as_dict()), n
+
+
+def test_trace_walkers_survive_deep_derivations():
+    # 750 suffix_01 steps: deeper than the recursion and JSON encoder limits
+    n = int("10" * 750 + "1", 2)
+    _, trace = reduce_term(n, trace=True)
+    nodes = list(trace.iter_nodes())
+    assert len(nodes) == 751 and [node.n for node in trace.leaves()] == [1]
+    text = trace.to_json()
+    assert text.count('"rule": "suffix_01"') == 750 and text.endswith("]}" * 751)
+    assert trace.as_dict()["children"][0]["n"] == n >> 2
+    assert len(trace.to_text().splitlines()) == 751
+
+
+def test_trace_tree_size_is_capped():
+    # 2**1500 - 1 has a 1500-node DAG, but its tree has about 10**397 nodes
+    value, trace = reduce_term(2**1500 - 1, trace=True)
+    assert value == sparse_term(8, 1500)
+    lines = trace.to_text().splitlines()
+    assert len(lines) == 3 * 1498 + 1 and lines[0].startswith("n=" + str(2**1500 - 1))
+    for walk in (trace.as_dict, trace.to_json, trace.iter_nodes, trace.leaves):
+        with pytest.raises(SizeLimitError, match="more than the cap of 16777216 nodes"):
+            walk()
+    _, trace = reduce_term(2**12 - 1, trace=True)
+    size = len(list(trace.iter_nodes()))
+    trace._check_tree_size(size)
+    with pytest.raises(SizeLimitError):
+        trace._check_tree_size(size - 1)
+
+
+def test_trace_rules_are_selected_once_per_node(monkeypatch):
+    from symnabla import recurrence
+
+    calls = []
+    select = recurrence._select_rule
+    monkeypatch.setattr(recurrence, "_select_rule", lambda n, opt: calls.append(n) or select(n, opt))
+    _, trace = reduce_term(1883, trace=True)
+    assert sorted(calls) == sorted({node.n for node in trace.iter_nodes()})
+    # nodes evaluated by an earlier call sharing the cache are selected here
+    cache = {}
+    reduce_term(59, cache=cache)
+    calls.clear()
+    _, trace = reduce_term(59 + 2048, trace=True, cache=cache)
+    assert sorted(calls) == sorted({node.n for node in trace.iter_nodes()})
 
 
 def test_trace_shared_subtrees_print_once():
