@@ -100,25 +100,31 @@ def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]
     return [term(k, n, engine, max_elements=max_elements) for n in range(limit + 1)]
 
 
-def _sparse_values(k: int, count: int, max_digits: int = DEFAULT_ELEMENT_CAP) -> list[int]:
+def _sparse_values(k: int, count: int) -> list[int]:
     """The first count terms of the all-ones family, refused before
-    they are computed when their decimal digits could pass max_digits.
+    they are computed when their decimal digits could pass
+    DEFAULT_ELEMENT_CAP.
 
     The bound needs no term.  By the square-class split,
     a(2m + 1) = sum over the square-free c of |H^m * Q_c| <= k * a(m),
     since the classes Q_c hold k elements in all; so term t, a(2**t - 1),
     is at most k**t and has at most floor(t * log10(k)) + 1 digits.
+    Every term has a digit, so a count past the cap is refused before
+    the bound is taken in floating point.
     """
     _check_size("count", count)
     if count == 0:
         return []
     terms = sparse_terms(k)
     values = [next(terms)]  # raises for a k outside 2..8
-    digits = count + math.ceil(math.log10(k) * (count * (count - 1) // 2))
-    if digits > max_digits:
+    cap = DEFAULT_ELEMENT_CAP
+    digits = count
+    if count <= cap:
+        digits += math.ceil(math.log10(k) * (count * (count - 1) // 2))
+    if digits > cap:
         raise SizeLimitError(
             f"the first {count} sparse terms may hold up to {digits} digits, "
-            f"over the cap {max_digits}"
+            f"over the cap {cap}"
         )
     values += islice(terms, count - 1)
     return values

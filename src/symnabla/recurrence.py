@@ -423,8 +423,8 @@ def _level_rules(n: np.ndarray, length: int):
     """``_select_rule`` (core rules) for an int64 array n of indices of
     one bit length: yields (rule, mask of the indices it fires at, their
     children as arrays), in the rule order.  The positions are the same
-    bit tests, the lowest set bit of x being the popcount of
-    (x & -x) - 1."""
+    bit tests; the lowest set bit of x is read off x & -x, a power of
+    two that frexp decomposes exactly."""
     z = n ^ ((1 << length) - 1)
     positions = {
         "strip_zeros": n,
@@ -451,7 +451,7 @@ def _level_rules(n: np.ndarray, length: int):
         i = 0
         if rule in positions:
             x = positions[rule][hit]
-            i = np.bitwise_count((x & -x) - 1).astype(np.int64)
+            i = np.frexp((x & -x).astype(np.float64))[1].astype(np.int64) - 1
         yield rule, hit, _rule_children(rule, n[hit], i)
 
 
@@ -517,16 +517,16 @@ class ReductionTrace:
             pending.pop()
         return done
 
-    def _check_tree_size(self, max_nodes: int = DEFAULT_ELEMENT_CAP) -> None:
+    def _check_tree_size(self) -> None:
         """Raise SizeLimitError if the expanded tree has more than
-        max_nodes nodes; subtree sizes saturate just past the cap."""
-        cap = max_nodes + 1
+        DEFAULT_ELEMENT_CAP nodes; subtree sizes saturate just past it."""
+        cap = DEFAULT_ELEMENT_CAP
         sizes = self._post_order(
-            lambda node, done: min(cap, 1 + sum(done[id(c)] for c in node.children))
+            lambda node, done: min(cap + 1, 1 + sum(done[id(c)] for c in node.children))
         )
-        if sizes[id(self)] > max_nodes:
+        if sizes[id(self)] > cap:
             raise SizeLimitError(
-                f"the derivation expands to a tree of more than the cap of {max_nodes} nodes"
+                f"the derivation expands to a tree of more than the cap of {cap} nodes"
             )
 
     def _preorder(self) -> Iterator["ReductionTrace"]:

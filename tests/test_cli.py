@@ -122,8 +122,10 @@ def test_sparse_count_is_bounded_before_any_term(capsys, monkeypatch):
             values = cli._sparse_values(k, count)
             digits = sum(len(str(v)) for v in values)
             assert digits <= count + math.ceil(math.log10(k) * count * (count - 1) / 2)
+            monkeypatch.setattr(cli, "DEFAULT_ELEMENT_CAP", digits - 1)
             with pytest.raises(SizeLimitError):
-                cli._sparse_values(k, count, max_digits=digits - 1)
+                cli._sparse_values(k, count)
+            monkeypatch.undo()
 
     drawn = []
 
@@ -133,10 +135,10 @@ def test_sparse_count_is_bounded_before_any_term(capsys, monkeypatch):
             yield value
 
     monkeypatch.setattr(cli, "sparse_terms", counted)
-    for count in (10**6, 2**70):
+    for count in (10**6, 2**70, 10**200):
         code, out, err = run_cli(capsys, "sparse", "--k", "8", "--count", str(count))
         assert (code, out) == (3, "") and "over the cap 16777216" in err
-    assert drawn == [0, 0]  # only the first term, which checks k
+    assert drawn == [0, 0, 0]  # only the first term, which checks k
     code, _, err = run_cli(capsys, "sparse", "--k", "9", "--count", str(10**6))
     assert code == 2 and "k in 2..8" in err
     # count 0 prints an empty sequence for any k, as before the bound

@@ -346,6 +346,13 @@ def test_reduce_sweep_equals_per_index_rewriting():
         assert got.tolist() == [reduce_term(n, cache=cache) for n in range(limit + 1)], limit
 
 
+def test_reduce_sweep_runs_without_numpy2_functions(monkeypatch):
+    # the declared floor is numpy 1.24, which has no np.bitwise_count
+    expected = reduce_term_range(2**13).tolist()
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert reduce_term_range(2**13).tolist() == expected
+
+
 def test_reduce_sweep_equals_the_matrix_sweep():
     assert (reduce_term_range(10**6) == matrix_term_range(10**6)).all()
 
@@ -465,7 +472,9 @@ def test_trace_walkers_survive_deep_derivations():
     assert len(trace.to_text().splitlines()) == 751
 
 
-def test_trace_tree_size_is_capped():
+def test_trace_tree_size_is_capped(monkeypatch):
+    from symnabla import recurrence
+
     # 2**1500 - 1 has a 1500-node DAG, but its tree has about 10**397 nodes
     value, trace = reduce_term(2**1500 - 1, trace=True)
     assert value == sparse_term(8, 1500)
@@ -476,9 +485,11 @@ def test_trace_tree_size_is_capped():
             walk()
     _, trace = reduce_term(2**12 - 1, trace=True)
     size = len(list(trace.iter_nodes()))
-    trace._check_tree_size(size)
+    monkeypatch.setattr(recurrence, "DEFAULT_ELEMENT_CAP", size)
+    trace._check_tree_size()
+    monkeypatch.setattr(recurrence, "DEFAULT_ELEMENT_CAP", size - 1)
     with pytest.raises(SizeLimitError):
-        trace._check_tree_size(size - 1)
+        trace._check_tree_size()
 
 
 def test_trace_rules_are_selected_once_per_node(monkeypatch):
