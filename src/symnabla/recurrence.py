@@ -22,10 +22,10 @@ expansion of n without building any sets:
   1 below) is the rank-one projector onto the initial state, so the
   word is cut at such gaps into blocks whose values multiply, and a run
   of L ones inside a block is the step matrix to the power L;
-* ``reduce_term(n)`` for k = 8: a memoised rewriting system on binary
-  expansions with base cases {0, 1, 3} and five core rules (plus two
-  optional shortcut rules that never change values).  It can return the
-  full derivation as a ReductionTrace;
+* ``reduce_term(n)`` for k = 8: a rewriting system on binary expansions
+  with base cases {0, 1, 3} and five core rules (plus two optional
+  shortcuts that never change values), evaluated in two passes over bit
+  lengths.  It can return the full derivation as a ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
   0..limit, evaluated one bit length at a time on int64 arrays, since
   every child has fewer bits than its parent.  Like
@@ -383,7 +383,7 @@ def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
     where z & (z >> 1) has bit i set, with z the complement of n within
     its bit length, and bits i..i + 2 are all ones where
     n & (n >> 1) & (n >> 2) does."""
-    if n in _BASE_VALUES:
+    if n.bit_length() <= 2 and n in _BASE_VALUES:
         return "base", ()
     if not n & 1:
         return "strip_zeros", _rule_children("strip_zeros", n, _low_bit(n))
@@ -410,13 +410,13 @@ def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
     return "block_111", _rule_children("block_111", n, _low_bit(n & (n >> 1) & (n >> 2)))
 
 
-def _combine(rule: str, n: int, child_values: tuple[int, ...]) -> int:
+def _combine(rule: str, n: int, child_values: Sequence) -> int:
     if rule == "base":
         return _BASE_VALUES[n]
     if rule == "gap_split":
         return child_values[0] * child_values[1]
     coeffs = _RULE_COEFFS[rule]
-    return sum(c * v for c, v in zip(coeffs, child_values))
+    return sum(map(mul, coeffs, child_values))
 
 
 def _level_rules(n: np.ndarray, length: int):
@@ -594,39 +594,13 @@ class ReductionTrace:
                 f"{'  ' * depth}n={node.n} bits={bin(node.n)[2:]} "
                 f"rule={node.rule} value={node.value}"
             )
-            if node.children and node.n in seen:
+            if node.children and id(node) in seen:
                 lines.append(line + " (expanded above)")
                 continue
-            seen.add(node.n)
+            seen.add(id(node))
             lines.append(line)
             stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)
-
-
-def _reduce_values(
-    n: int,
-    optional_rules: bool,
-    cache: dict[int, int],
-    rules: dict[int, tuple[str, tuple[int, ...]]],
-) -> int:
-    """Evaluate the rewriting system iteratively (no recursion limit),
-    recording in rules the choice made at every node it evaluates."""
-    pending = [n]
-    while pending:
-        m = pending[-1]
-        if m in cache:
-            pending.pop()
-            continue
-        if m not in rules:
-            rules[m] = _select_rule(m, optional_rules)
-        rule, children = rules[m]
-        missing = [c for c in children if c not in cache]
-        if missing:
-            pending.extend(missing)
-            continue
-        cache[m] = _combine(rule, m, tuple(cache[c] for c in children))
-        pending.pop()
-    return cache[n]
 
 
 def reduce_term(
@@ -636,40 +610,48 @@ def reduce_term(
     optional_rules: bool = False,
     cache: Optional[dict[int, int]] = None,
 ):
-    """term(8, n) by memoised rewriting.
+    """term(8, n) by rewriting, in two passes over bit lengths, since
+    every child has fewer bits than its parent.  Pass 1 selects each
+    node's rule once, from the top length down, and pass 2 combines
+    child values by node index, from length 0 up.  Nodes are keyed by n
+    only within one length: CPython hashes ints modulo 2**61 - 1, so the
+    2**j - 1 of all lengths would collide in one dict.
 
-    Returns the value, or (value, ReductionTrace) when trace is set.
-    A cache dict may be shared across calls for sweeps; entries are
-    plain n -> value and are valid under either rule set, since the
-    optional rules never change values.  ``reduce_term_range`` evaluates
-    the same rules for a whole prefix at once.
+    Returns the value, or (value, ReductionTrace) when trace is set.  A
+    cache of n -> value entries (valid under both rule sets) may be
+    shared across calls; it gets every node evaluated, and a cached
+    node is expanded only with a trace.
     """
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    values = cache if cache is not None else {}
-    rules: dict[int, tuple[str, tuple[int, ...]]] = {}
-    value = _reduce_values(n, optional_rules, values, rules)
-    if not trace:
-        return value
-    nodes: dict[int, ReductionTrace] = {}
-    pending = [n]
-    while pending:
-        m = pending[-1]
-        if m in nodes:
-            pending.pop()
-            continue
-        if m not in rules:  # evaluated by an earlier call sharing the cache
-            rules[m] = _select_rule(m, optional_rules)
-        rule, children = rules[m]
-        missing = [c for c in children if c not in nodes]
-        if missing:
-            pending.extend(missing)
-            continue
-        nodes[m] = ReductionTrace(
-            m, rule, values[m], tuple(nodes[c] for c in children)
-        )
-        pending.pop()
-    return value, nodes[n]
+    lookup = cache is not None and not trace
+    if lookup and n in cache:
+        return cache[n]
+    levels = {n.bit_length(): {n: 0}}  # bit length -> {m: index}, to expand
+    values = [None]  # by node index
+    steps = []  # (m, index, rule, child indices), longest first
+    while levels:
+        for m, j in levels.pop(max(levels)).items():
+            rule, kids = _select_rule(m, optional_rules)
+            ids = []
+            for c in kids:
+                value = cache.get(c) if lookup else None
+                if value is not None:
+                    ids.append(len(values))
+                    values.append(value)
+                    continue
+                ids.append(levels.setdefault(c.bit_length(), {}).setdefault(c, len(values)))
+                if ids[-1] == len(values):
+                    values.append(None)
+            steps.append((m, j, rule, ids))
+    nodes = [None] * len(values) if trace else []
+    for m, j, rule, ids in reversed(steps):
+        values[j] = _combine(rule, m, [values[i] for i in ids])
+        if cache is not None:
+            cache[m] = values[j]
+        if trace:
+            nodes[j] = ReductionTrace(m, rule, values[j], tuple(nodes[i] for i in ids))
+    return (values[0], nodes[0]) if trace else values[0]
 
 
 # ---------------------------------------------------------------------------

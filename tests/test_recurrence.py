@@ -24,6 +24,7 @@ from symnabla.recurrence import (
     CORE_RULES,
     OPTIONAL_RULES,
     ReductionTrace,
+    _combine,
     _level_rules,
     _select_rule,
     annihilation_check,
@@ -366,6 +367,97 @@ def test_reduce_sweep_overflow_guard():
         reduce_term_range(1 << 22)
     with pytest.raises(DomainError):
         reduce_term_range(-1)
+
+
+def reduce_depth_first(n, *, trace=False, optional_rules=False, cache=None):
+    """The rewriting system evaluated depth first from a pending stack,
+    memoised in dicts keyed by n: the reference for reduce_term's two
+    passes over bit lengths, with the same signature and results."""
+    cache = {} if cache is None else cache
+    rules = {}
+    pending = [n]
+    while pending:
+        m = pending[-1]
+        if m in cache:
+            pending.pop()
+            continue
+        if m not in rules:
+            rules[m] = _select_rule(m, optional_rules)
+        rule, children = rules[m]
+        missing = [c for c in children if c not in cache]
+        if missing:
+            pending.extend(missing)
+            continue
+        cache[m] = _combine(rule, m, tuple(cache[c] for c in children))
+        pending.pop()
+    if not trace:
+        return cache[n]
+    nodes = {}
+    pending = [n]
+    while pending:
+        m = pending[-1]
+        if m in nodes:
+            pending.pop()
+            continue
+        if m not in rules:  # evaluated by an earlier call sharing the cache
+            rules[m] = _select_rule(m, optional_rules)
+        rule, children = rules[m]
+        missing = [c for c in children if c not in nodes]
+        if missing:
+            pending.extend(missing)
+            continue
+        nodes[m] = ReductionTrace(m, rule, cache[m], tuple(nodes[c] for c in children))
+        pending.pop()
+    return cache[n], nodes[n]
+
+
+def long_words(bits, rng):
+    """All ones, long runs of ones broken by sparse single zeros (the
+    huge_index patterns), and a random word, each of the given length."""
+    ones = (1 << bits) - 1
+    runs = ones
+    for pos in rng.sample(range(1, bits - 1), max(1, bits // 48)):
+        runs &= ~(1 << pos)
+    return ones, runs, (1 << (bits - 1)) | rng.getrandbits(bits - 1)
+
+
+def test_reduce_term_equals_the_depth_first_reference():
+    for optional_rules in (False, True):
+        want, shared = {}, {}
+        for n in range(1 << 14):
+            value = reduce_depth_first(n, optional_rules=optional_rules, cache=want)
+            assert reduce_term(n, optional_rules=optional_rules) == value, n
+            assert reduce_term(n, optional_rules=optional_rules, cache=shared) == value, n
+        # a shared cache ends up holding the same nodes under both evaluators
+        assert shared == want
+    rng = random.Random(20261020)
+    for bits in (64, 65, 500, 1999, 4096):
+        for n in long_words(bits, rng):
+            for optional_rules in (False, True):
+                want = reduce_depth_first(n, optional_rules=optional_rules)
+                assert reduce_term(n, optional_rules=optional_rules) == want, (bits, n)
+
+
+def test_trace_equals_the_depth_first_reference():
+    # the JSON tree is compared under the core rules, which the CLI prints by default
+    for optional_rules, cache, limit in ((False, None, 1 << 12), (True, None, 1 << 12), (False, {}, 1 << 10)):
+        for n in range(limit):
+            value, got = reduce_term(n, trace=True, optional_rules=optional_rules, cache=cache)
+            _, want = reduce_depth_first(n, trace=True, optional_rules=optional_rules)
+            assert value == want.value
+            assert got.to_text() == want.to_text(), n
+            if not optional_rules and cache is None:
+                assert got.to_json() == want.to_json(), n
+
+
+def test_all_ones_derivation_has_one_node_per_length():
+    bits = 4096
+    value, trace = reduce_term((1 << bits) - 1, trace=True)
+    dag = trace._post_order(lambda node, done: node.n)
+    assert sorted(dag.values()) == [(1 << j) - 1 for j in range(bits + 1)]
+    assert value == sparse_term(8, bits)
+    _, runs, _ = long_words(bits, random.Random(301))
+    assert reduce_term(runs) == matrix_term(runs)
 
 
 def test_int64_guard_bounds_hold():
