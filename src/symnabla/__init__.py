@@ -5,9 +5,9 @@ n-th symmetric power of {1, ..., k} under the symmetric product (pairwise
 integer products with even-multiplicity cancellation): by building the
 sets (``brute_card``), by structural recurrences on the binary expansion
 of n (``fast_term`` / ``matrix_term`` / ``reduce_term``, with
-``matrix_term_range`` / ``reduce_term_range`` sweeping whole prefixes),
-and by chain censuses stepped with fixed transfer matrices
-(``verify_transfer``).
+``term_range``, ``matrix_term_range`` and ``reduce_term_range`` sweeping
+whole prefixes), and by chain censuses stepped with fixed transfer
+matrices (``verify_transfer``).
 For k in 1..4 the resulting sequences are catalogued in the OEIS and can
 be cross-checked against b-files (``symnabla.oeis``).
 """
@@ -78,6 +78,7 @@ from .recurrence import (
     reduce_term_range,
     sparse_term,
     term,
+    term_range,
 )
 
 __version__ = "0.1.0"
@@ -138,6 +139,7 @@ __all__ = [
     "squaring_matrix",
     "structural_vector",
     "term",
+    "term_range",
     "transfer_matrix",
     "verify_transfer",
 ]

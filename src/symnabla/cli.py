@@ -23,6 +23,8 @@ import os
 import sys
 from itertools import islice
 
+import numpy as np
+
 from .chains import (
     census,
     census_components,
@@ -49,6 +51,7 @@ from .recurrence import (
     resolve_method,
     sparse_terms,
     term,
+    term_range,
 )
 
 
@@ -58,12 +61,74 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
     writer.writerows(rows)
 
 
-def _print_values(values: list[int], fmt: str, index: str, json_fields: dict) -> None:
-    """Print a sequence indexed from 0, in the formats seq and sparse share."""
-    if fmt == "plain":
+_CHUNK = 1 << 16  # rows per piece of vectorised output
+
+
+def _fill_digits(x: np.ndarray, digits: np.ndarray, keep: np.ndarray) -> None:
+    """Write the decimal digits of a nonnegative int64 array into the
+    uint8 matrix digits as ASCII, one right-aligned row per value, by
+    x // 10 passes, and mark the significant ones in keep (the last
+    always, so 0 prints as 0)."""
+    x = x.astype(np.uint64)
+    for j in range(digits.shape[1] - 1, -1, -1):
+        keep[:, j] = x > 0
+        q = x // 10
+        digits[:, j] = x - q * 10
+        x = q
+    keep[:, -1] = True
+    digits += ord("0")
+
+
+def _write_int64(values: np.ndarray, end: str, index_sep: str = "", join: bool = False) -> None:
+    """Write each value of a nonnegative int64 array in decimal and then
+    end, preceded by its index and index_sep when index_sep is given.
+    With join, end only separates values.  Each chunk of rows is laid
+    out as one uint8 matrix of digits and separators, which a mask
+    compacts, so no str is made per value."""
+    for lo in range(0, len(values), _CHUNK):
+        chunk = values[lo : lo + _CHUNK]
+        fields = [chunk, end]
+        if index_sep:
+            fields[:0] = [np.arange(lo, lo + len(chunk)), index_sep]
+        widths = [len(f) if isinstance(f, str) else len(str(int(f.max()))) for f in fields]
+        text = np.empty((len(chunk), sum(widths)), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        at = 0
+        for field, width in zip(fields, widths):
+            columns = slice(at, at + width)
+            if isinstance(field, str):
+                text[:, columns] = np.frombuffer(field.encode("ascii"), dtype=np.uint8)
+            else:
+                _fill_digits(field, text[:, columns], keep[:, columns])
+            at += width
+        out = text[keep].tobytes().decode("ascii")
+        if join and lo + _CHUNK >= len(values):
+            out = out[: -len(end)]
+        sys.stdout.write(out)
+
+
+def _print_values(values, fmt: str, index: str, json_fields: dict) -> None:
+    """Print a sequence indexed from 0, in the formats seq and sparse
+    share.  An int64 array (a sweep's output) goes through
+    ``_write_int64``; a list, whose values may be big ints, through str,
+    with the same bytes."""
+    if isinstance(values, np.ndarray):
+        if fmt == "plain":
+            _write_int64(values, " ", join=True)
+            sys.stdout.write("\n")
+        elif fmt == "csv":
+            sys.stdout.write(f"{index},value\n")
+            _write_int64(values, "\n", index_sep=",")
+        elif fmt == "json":
+            head = json.dumps({**json_fields, "values": []})
+            sys.stdout.write(head[:-2])
+            _write_int64(values, ", ", join=True)
+            sys.stdout.write(head[-2:] + "\n")
+        else:  # bfile
+            _write_int64(values, "\n", index_sep=" ")
+    elif fmt == "plain":
         # joined slice by slice, so only one slice of str objects is alive at a time
-        step = 1 << 16
-        print(" ".join(" ".join(map(str, values[i : i + step])) for i in range(0, len(values), step)))
+        print(" ".join(" ".join(map(str, values[i : i + _CHUNK])) for i in range(0, len(values), _CHUNK)))
     elif fmt == "csv":
         _print_csv([index, "value"], [[i, v] for i, v in enumerate(values)])
     elif fmt == "json":
@@ -78,7 +143,7 @@ def _check_size(name: str, value: int) -> None:
         raise DomainError(f"{name} must be >= 0, got {value}")
 
 
-def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]:
+def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int] | np.ndarray:
     _check_size("limit", limit)
     if limit + 1 > max_elements:
         raise SizeLimitError(
@@ -88,10 +153,12 @@ def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]
     if engine == "brute":
         return power_card_sequence(k, limit, max_elements=max_elements)
     try:
+        if method == "auto":
+            return term_range(k, limit)
         if engine == "reduce":
-            return reduce_term_range(limit).tolist()
-        if method in ("auto", "matrix") and 4 <= k <= 8:
-            return matrix_term_range(limit, k).tolist()
+            return reduce_term_range(limit)
+        if engine == "matrix" and 4 <= k <= 8:
+            return matrix_term_range(limit, k)
     except DomainError:
         pass  # the int64 guard tripped; fall back to per-index calls
     if engine == "reduce":

@@ -30,7 +30,12 @@ expansion of n without building any sets:
   0..limit, evaluated one bit length at a time on int64 arrays, since
   every child has fewer bits than its parent.  Like
   ``matrix_term_range``, it refuses limits whose values could wrap
-  int64.
+  int64;
+* ``term_range(k, limit)`` for k in 1..8: the default sweep.  a_k is
+  2-regular, and its minimal linear representation (rank 1 for
+  k = 2, 3, 2 for k = 4..7, 3 at k = 8), read as value rules on the
+  low bits of n (``_value_rules``), gives every term of a doubling
+  [lo, 2 lo - 1] from earlier ones by a few strided int64 slices.
 
 All matrix powers go through one kernel in ``chains`` that applies
 cached repeated squarings, so the cost grows with the number of runs
@@ -269,16 +274,18 @@ def _check_int64_sweep(limit: int, k: int, per_index: str) -> None:
     component.  For k = 4..7 the step matrix has negative entries, and
     the bound is checked on every n below 2**14 in the tests.
 
-    Both sweeps keep their intermediates below 32 * sparse_term(k, L).
+    The three sweeps keep their intermediates below 32 * sparse_term(k, L).
     A matrix-word state component counts elements or chains of the
     power, so it is at most a(n); a step reads the parent's state, of
     L - 1 bits, through a matrix row whose absolute values sum to at
-    most 18.  A rewriting rule reads children of fewer bits: a gap
-    split's product is the value itself, and each core linear rule's
-    coefficients sum in absolute value to at most 41 (suffix_011).  So
-    every partial sum is at most 41 * sparse(k, L - 1), below
-    32 * sparse(k, L) since sparse(8, L) >= 6 * sparse(8, L - 1) and
-    the other k grow by a factor of at least 3 per bit.
+    most 18.  A rewriting rule or a value rule of ``term_range`` reads
+    children of fewer bits: a gap split's product is the value itself,
+    and the coefficients of each linear rule sum in absolute value to at
+    most 41 at k = 8 (suffix_011) and at most 9 below (the 11 rule at
+    k = 5).  So every partial sum is at most 41 * sparse(k, L - 1),
+    below 32 * sparse(k, L) since sparse(8, L) >= 6 * sparse(8, L - 1),
+    and at most 9 * sparse(k, L - 1) for k <= 7, where sparse grows by a
+    factor of at least 2 per bit.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
@@ -652,6 +659,74 @@ def reduce_term(
         if trace:
             nodes[j] = ReductionTrace(m, rule, values[j], tuple(nodes[i] for i in ids))
     return (values[0], nodes[0]) if trace else values[0]
+
+
+# ---------------------------------------------------------------------------
+# Value rules of the minimal representation (k = 1..8)
+
+
+@cache
+def _value_rules(k: int) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
+    """a_k's minimal linear representation, read as value rules for
+    k in 2..8: (suffix, ((c, t), ...)) means
+    a(m.suffix) = sum of c * a(m.1**t), for every m >= 0, where m.w is
+    the index whose binary expansion is m's followed by the bits w.
+
+    The rules cover every residue of n > 0 and each child has at most
+    (n - 1) / 2 or, for the 0 suffix, n / 2.  Every coefficient is a
+    table's: a(2m) = a(m) is ``strip_zeros``; for k = 2, 3 the odd rule
+    is the sparse recurrence; for k = 4..7, a(4m + 1) = a(1) a(m) and
+    the 11 rule is the sparse recurrence; at k = 8 the 01, 011 and 111
+    rules are ``suffix_01``, ``suffix_011`` and ``block_111`` at bit 0.
+    """
+    _check_sparse_k(k)
+    seeds, coeffs = _SPARSE_RECURRENCES[k]
+    rules = [("0", _RULE_COEFFS["strip_zeros"], (0,))]
+    if k <= 3:
+        rules.append(("1", coeffs, (0,)))
+    elif k <= 7:
+        rules += [("01", seeds[1:2], (0,)), ("11", coeffs, (1, 0))]
+    else:
+        rules += [
+            ("01", _RULE_COEFFS["suffix_01"], (0,)),
+            ("011", _RULE_COEFFS["suffix_011"], (1, 0)),
+            ("111", _RULE_COEFFS["block_111"], (2, 1, 0)),
+        ]
+    return tuple((suffix, tuple(zip(cs, ts))) for suffix, cs, ts in rules)
+
+
+def term_range(k: int, limit: int) -> np.ndarray:
+    """term(k, n) for all n in 0..limit and k in 1..8, as an int64 array.
+
+    Sweeps ``_value_rules`` from the one seed a(0) = 1, a doubling
+    [lo, 2 lo - 1] at a time: every child of an index there lies below
+    lo, so each rule is one strided-slice expression per doubling.
+    At k = 1 every term is 1.  A limit whose values could wrap int64 is
+    refused (``_check_int64_sweep``); use term per index there.
+    """
+    if not 1 <= k <= 8:
+        raise DomainError(f"term_range covers k in 1..8, got {k}")
+    if k == 1:
+        if limit < 0:
+            raise DomainError(f"limit must be >= 0, got {limit}")
+        return np.ones(limit + 1, dtype=np.int64)
+    _check_int64_sweep(limit, k, "term")
+    values = np.empty(limit + 1, dtype=np.int64)
+    values[0] = _SPARSE_RECURRENCES[k][0][0]
+    lo = 1
+    while lo <= limit:
+        hi = min(2 * lo - 1, limit)
+        for suffix, children in _value_rules(k):
+            s, r = len(suffix), int(suffix, 2)
+            first = lo + (r - lo) % (1 << s)  # the first n >= lo of this suffix
+            if first > hi:
+                continue
+            m, count = first >> s, ((hi - first) >> s) + 1
+            values[first : hi + 1 : 1 << s] = sum(
+                c * values[((m + 1) << t) - 1 :: 1 << t][:count] for c, t in children
+            )
+        lo *= 2
+    return values
 
 
 # ---------------------------------------------------------------------------

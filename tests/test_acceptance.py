@@ -29,6 +29,7 @@ from symnabla.recurrence import (
     matrix_term_range,
     reduce_term,
     term,
+    term_range,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -128,6 +129,8 @@ def test_03_method_agreement():
     bad = []
     for k in range(2, 9):
         brute = power_card_sequence(k, 512)
+        if term_range(k, 512).tolist() != brute:
+            bad.append(f"term_range k={k} diverges from brute")
         if k <= 7:
             fast = [fast_term(k, n) for n in range(513)]
             if fast != brute:
@@ -145,6 +148,8 @@ def test_03_method_agreement():
     sweep_elapsed = time.perf_counter() - t0
     t1 = time.perf_counter()
     arr = matrix_term_range(10**6)
+    if not (term_range(8, 10**6) == arr).all():
+        bad.append("term_range != matrix to 1e6")
     cache = {}
     for n in range(10**6 + 1):
         if reduce_term(n, cache=cache) != int(arr[n]):
@@ -157,7 +162,7 @@ def test_03_method_agreement():
         ok,
         bad[0]
         if bad
-        else f"k=2..8 vs brute to 512 in {sweep_elapsed:.1f}s, matrix=reduce to 1e6 in {long_elapsed:.1f}s",
+        else f"k=2..8 vs brute to 512 in {sweep_elapsed:.1f}s, matrix=reduce=term_range to 1e6 in {long_elapsed:.1f}s",
     )
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,15 @@ from symnabla import cli
 from symnabla.cli import build_parser, main
 from symnabla.errors import DomainError, SizeLimitError, TransportError
 from symnabla.oeis import parse_bfile
-from symnabla.recurrence import METHODS, fast_term, matrix_term, matrix_term_range, sparse_term, sparse_terms
+from symnabla.recurrence import (
+    METHODS,
+    fast_term,
+    matrix_term,
+    matrix_term_range,
+    sparse_term,
+    sparse_terms,
+    term_range,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -168,6 +177,39 @@ def test_seq_plain_output_spans_several_slices(capsys):
     code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", str(limit), "--method", "reduce")
     assert code == 0
     assert out == " ".join(map(str, matrix_term_range(limit).tolist())) + "\n"
+
+
+def test_seq_sweeps_every_k_without_per_index_calls(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("seq fell back to per-index calls")
+
+    monkeypatch.setattr(cli, "term", refuse)
+    for k in range(1, 9):
+        code, out, err = run_cli(capsys, "seq", "--k", str(k), "--limit", "1000")
+        assert (code, err) == (0, "")
+        reference = matrix_term if k == 8 else (lambda n: fast_term(k, n))
+        assert out.split() == [str(reference(n)) for n in range(1001)]
+
+
+def _printed(values, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._print_values(values, fmt, "n", {"k": 8, "method": "auto"})
+    return buf.getvalue()
+
+
+# every digit count from 1 to 19, with 10**j - 1, 10**j, 10**j + 1 and 2**63 - 1
+CRAFTED = np.array([10**j + d for j in range(19) for d in (-1, 0, 1)] + [2**63 - 1], dtype=np.int64)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "bfile"])
+def test_int64_writer_equals_the_str_path(fmt):
+    assert {len(str(v)) for v in CRAFTED.tolist()} == set(range(1, 20))
+    limits = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)  # around the writer's chunks
+    arrays = [term_range(8, limit) for limit in limits]
+    arrays += [CRAFTED, CRAFTED[::-1], np.array([], dtype=np.int64)]
+    for values in arrays:
+        assert _printed(values, fmt) == _printed(values.tolist(), fmt)
 
 
 def test_reduce_trace_of_a_huge_index(capsys):
@@ -423,6 +465,7 @@ def test_seq_term_count_is_capped(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an engine ran before the cap check")
 
+    monkeypatch.setattr(cli, "term_range", refuse)
     monkeypatch.setattr(cli, "matrix_term_range", refuse)
     monkeypatch.setattr(cli, "reduce_term_range", refuse)
     monkeypatch.setattr(cli, "power_card_sequence", refuse)

@@ -16,6 +16,7 @@ from symnabla.chains import (
     mat_vec,
     squaring_matrix,
     transfer_matrix,
+    vec_mat,
 )
 from symnabla.core import brute_card, power_card_sequence
 from symnabla.errors import DomainError, SizeLimitError
@@ -27,6 +28,7 @@ from symnabla.recurrence import (
     _combine,
     _level_rules,
     _select_rule,
+    _value_rules,
     annihilation_check,
     fast_term,
     gap_split_check,
@@ -39,6 +41,7 @@ from symnabla.recurrence import (
     sparse_term,
     sparse_terms,
     term,
+    term_range,
 )
 
 # cardinality at the all-ones exponent rows, k = 7 and k = 8
@@ -240,6 +243,74 @@ def test_matrix_term_range_overflow_guard():
         matrix_term_range(1 << 34, 4)
     with pytest.raises(DomainError):
         matrix_term_range(8, 3)
+
+
+def _word_row(k, bits):
+    """The functional times the chain word that appends bits to an
+    index: state(2m + b) = A_b state(m), so a(m.bits) is this row times
+    state(m) for every m >= 1."""
+    row = cardinality_functional(k)
+    for bit in reversed(bits):
+        row = vec_mat(row, (transfer_matrix(k) if bit == "1" else squaring_matrix(k)).rows)
+    return row
+
+
+def test_value_rules_are_identities_of_the_chain_word():
+    """Each value rule a(m.suffix) = sum of c * a(m.1**t) is an exact
+    identity of the word verify_transfer replays against sets, which
+    proves it for every m >= 1; its m = 0 instance is checked on the
+    brute oracle.  For k = 4..7 the rules are f.Q = f, f.S.Q = a(1) f
+    and the 11 row; at k = 8 the 01 row is 8 f and the 011 and 111 rows
+    are suffix_011 and block_111."""
+    suffixes = {k: ("0", "01", "11") for k in range(4, 8)} | {8: ("0", "01", "011", "111")}
+    for k in range(4, 9):
+        rules = _value_rules(k)
+        assert tuple(suffix for suffix, _ in rules) == suffixes[k]
+        assert _word_row(k, "0") == cardinality_functional(k)
+        assert _word_row(k, "01") == tuple(brute_card(k, 1) * x for x in cardinality_functional(k))
+        for suffix, children in rules:
+            rows = [tuple(c * x for x in _word_row(k, "1" * t)) for c, t in children]
+            assert _word_row(k, suffix) == tuple(map(sum, zip(*rows)))
+            m0 = sum(c * brute_card(k, (1 << t) - 1) for c, t in children)
+            assert brute_card(k, int(suffix, 2)) == m0
+
+
+def test_value_rules_cover_every_index_once():
+    for k in range(2, 9):
+        for n in range(1, 1 << 10):
+            hits = [s for s, _ in _value_rules(k) if n % (1 << len(s)) == int(s, 2)]
+            assert len(hits) == 1
+
+
+def test_term_range_equals_the_other_engines():
+    for k in range(1, 9):
+        assert term_range(k, 299).tolist() == power_card_sequence(k, 299)
+    for k in range(1, 4):
+        assert term_range(k, 4096).tolist() == [fast_term(k, n) for n in range(4097)]
+    for k in range(4, 9):
+        assert (term_range(k, 2**16) == matrix_term_range(2**16, k)).all()
+    for limit in range(9):
+        assert term_range(8, limit).tolist() == [matrix_term(n) for n in range(limit + 1)]
+
+
+def test_term_range_overflow_guard():
+    # the guard of the other sweeps: exact to 22-bit indices at k = 8
+    arr = term_range(8, (1 << 22) - 1)
+    assert int(arr[-1]) == sparse_term(8, 22)
+    sample = random.Random(22).sample(range(1 << 22), 200)
+    assert [int(arr[n]) for n in sample] == [matrix_term(n) for n in sample]
+    with pytest.raises(DomainError, match="term per index"):
+        term_range(8, 1 << 22)
+    with pytest.raises(DomainError, match="term per index"):
+        term_range(4, 1 << 34)
+    for k in (1, 2, 8):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            term_range(k, -1)
+    for k in (0, 9):
+        with pytest.raises(DomainError, match="k in 1..8"):
+            term_range(k, 5)
+    # k = 1 needs no guard: every term is 1
+    assert term_range(1, 2**20).tolist() == [1] * (2**20 + 1)
 
 
 def test_doubling_invariance():
@@ -463,9 +534,9 @@ def test_all_ones_derivation_has_one_node_per_length():
 def test_int64_guard_bounds_hold():
     """The facts the int64 guard rests on: every state component and
     value below 2**14 is at most the all-ones term of its bit length, the
-    all-ones terms grow by 6 per bit at k = 8 and by 3 below, and the
-    step rows and the core linear rules keep their absolute sums to 18
-    and 41."""
+    all-ones terms grow by 6 per bit at k = 8, by 3 for k = 4..7 and by
+    2 below, and the step rows, the core linear rules and the value
+    rules keep their absolute sums to 18, 41 and 41."""
     for k in (4, 5, 6, 7, 8):
         step = np.array(transfer_matrix(k).rows, dtype=np.int64)
         square = np.array(squaring_matrix(k).rows, dtype=np.int64)
@@ -485,6 +556,13 @@ def test_int64_guard_bounds_hold():
         growth = 6 if k == 8 else 3
         assert all(sparse_term(k, t) >= growth * sparse_term(k, t - 1) for t in range(1, 60))
     assert max(sum(map(abs, _RULE_COEFFS.get(rule, ()))) for rule in CORE_RULES) == 41
+    # term_range's value rules: the same 41 at k = 8, at most 9 below,
+    # where the all-ones terms at least double per bit
+    sums = {k: max(sum(abs(c) for c, _ in children) for _, children in _value_rules(k)) for k in range(2, 9)}
+    assert sums[8] == 41 and max(sums[k] for k in range(2, 8)) == 9
+    for k in (2, 3):
+        assert all(sparse_term(k, t) >= 2 * sparse_term(k, t - 1) for t in range(1, 60))
+        assert all(v <= sparse_term(k, n.bit_length()) for n, v in enumerate(term_range(k, 1 << 14).tolist()))
 
 
 def test_trace_for_27():
