@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 usage or domain error, 3 resource cap
 exceeded, 4 verification mismatch.  A stdout closed by its reader (as
 ``| head`` does) ends the command quietly with 0.
 
+``main`` may be called repeatedly in one process.  It parses with one
+parser per process, built on the first call, so a later call pays only
+for parsing and its command; ``build_parser`` returns a new parser.
+
 Indexing conventions differ by command, deliberately:
 
 * ``term``, ``seq`` and ``reduce`` take the dense index n;
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -33,7 +38,7 @@ from .chains import (
     decompose,
     verify_transfer,
 )
-from .core import DEFAULT_ELEMENT_CAP, power_card_sequence, sym_power
+from .core import DEFAULT_ELEMENT_CAP, check_sequence_cap, power_card_sequence, sym_power
 from .errors import (
     BFileFormatError,
     BFileParseError,
@@ -107,35 +112,41 @@ def _write_int64(values: np.ndarray, end: str, index_sep: str = "", join: bool =
         sys.stdout.write(out)
 
 
+def _write_list(values: list, end: str, index_sep: str = "", join: bool = False) -> None:
+    """``_write_int64`` for a list, whose values may be big ints.  Each
+    chunk of rows is joined on its own, so only one chunk of str objects
+    is alive at a time; without indices, json's C encoder joins it, as
+    it writes an int exactly as str does."""
+    row = f"{{}}{index_sep}{{}}".format
+    for lo in range(0, len(values), _CHUNK):
+        chunk = values[lo : lo + _CHUNK]
+        if index_sep:
+            sys.stdout.write(end.join(map(row, range(lo, lo + len(chunk)), chunk)))
+        else:
+            sys.stdout.write(json.dumps(chunk, separators=(end, ":"))[1:-1])
+        if not (join and lo + _CHUNK >= len(values)):
+            sys.stdout.write(end)
+
+
 def _print_values(values, fmt: str, index: str, json_fields: dict) -> None:
     """Print a sequence indexed from 0, in the formats seq and sparse
     share.  An int64 array (a sweep's output) goes through
-    ``_write_int64``; a list, whose values may be big ints, through str,
-    with the same bytes."""
-    if isinstance(values, np.ndarray):
-        if fmt == "plain":
-            _write_int64(values, " ", join=True)
-            sys.stdout.write("\n")
-        elif fmt == "csv":
-            sys.stdout.write(f"{index},value\n")
-            _write_int64(values, "\n", index_sep=",")
-        elif fmt == "json":
-            head = json.dumps({**json_fields, "values": []})
-            sys.stdout.write(head[:-2])
-            _write_int64(values, ", ", join=True)
-            sys.stdout.write(head[-2:] + "\n")
-        else:  # bfile
-            _write_int64(values, "\n", index_sep=" ")
-    elif fmt == "plain":
-        # joined slice by slice, so only one slice of str objects is alive at a time
-        print(" ".join(" ".join(map(str, values[i : i + _CHUNK])) for i in range(0, len(values), _CHUNK)))
+    ``_write_int64``; a list, whose values may be big ints, through
+    ``_write_list``, with the same bytes."""
+    write = _write_int64 if isinstance(values, np.ndarray) else _write_list
+    if fmt == "plain":
+        write(values, " ", join=True)
+        sys.stdout.write("\n")
     elif fmt == "csv":
-        _print_csv([index, "value"], [[i, v] for i, v in enumerate(values)])
+        sys.stdout.write(f"{index},value\n")
+        write(values, "\n", index_sep=",")
     elif fmt == "json":
-        print(json.dumps({**json_fields, "values": values}))
+        head = json.dumps({**json_fields, "values": []})
+        sys.stdout.write(head[:-2])
+        write(values, ", ", join=True)
+        sys.stdout.write(head[-2:] + "\n")
     else:  # bfile
-        for i, v in enumerate(values):
-            print(f"{i} {v}")
+        write(values, "\n", index_sep=" ")
 
 
 def _check_size(name: str, value: int) -> None:
@@ -151,6 +162,10 @@ def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]
         )
     engine = resolve_method(k, method)
     if engine == "brute":
+        try:  # refuse a term over the cap before building any set
+            check_sequence_cap(k, term_range(k, limit), max_elements)
+        except DomainError:
+            pass  # k > 8, or the int64 guard tripped; the sets find the refusal
         return power_card_sequence(k, limit, max_elements=max_elements)
     try:
         if method == "auto":
@@ -379,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="auto")
     _add_format(p)
     _add_cap(p)
-    p.set_defaults(func=cmd_term)
 
     p = sub.add_parser("seq", help="terms 0..limit")
     p.add_argument("--k", type=int, required=True)
@@ -387,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="auto")
     _add_format(p)
     _add_cap(p)
-    p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser(
         "sparse", help="terms of the all-ones family (indices 2**t - 1)"
@@ -395,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count", type=int, required=True, help="number of terms, from t=0")
     _add_format(p)
-    p.set_defaults(func=cmd_sparse)
 
     p = sub.add_parser(
         "chains",
@@ -406,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="T", help="exponent t")
     _add_format(p, ("plain", "csv", "json"))
     _add_cap(p)
-    p.set_defaults(func=cmd_chains)
 
     p = sub.add_parser(
         "structure",
@@ -417,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="T", help="exponent t")
     _add_format(p, ("plain", "csv", "json"))
     _add_cap(p)
-    p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser(
         "verify", help="replay the transfer step against the brute oracle"
@@ -426,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     _add_format(p, ("plain", "json"))
     _add_cap(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="k=8 term by rewriting, optionally traced")
     p.add_argument("--n", type=int, required=True)
@@ -437,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the shortcut rewrites (values never change)",
     )
     _add_format(p, ("plain", "json"))
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("oeis", help="cross-check terms against an OEIS b-file")
     p.add_argument("--k", type=int, required=True, help="1..4")
@@ -456,9 +464,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache-dir", default=None)
     _add_format(p, ("plain", "json"))
-    p.set_defaults(func=cmd_oeis)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on the first call and kept for the
+    process; parsing leaves it unchanged.  METHODS and the
+    DEFAULT_ELEMENT_CAP default are bound into it then, but main looks
+    up each command's cmd_* function by name, so a wrapped one (as a
+    tracer installs) still runs."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -468,8 +485,8 @@ def main(argv=None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        status = args.func(args)
+        args = _parser().parse_args(argv)
+        status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
     except BrokenPipeError:

@@ -569,6 +569,25 @@ def _square_classes(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(isqrt(k // c) for c in square_free).items()))
 
 
+def check_sequence_cap(k: int, cards: np.ndarray, max_elements: int) -> None:
+    """Raise, without building a set, the SizeLimitError that
+    power_card_sequence(k, len(cards) - 1, max_elements=max_elements)
+    raises first, given its true values cards as an int64 array and a
+    max_elements of at least 1.
+
+    The sweep checks the cap on every reported a(n) in index order, and
+    each product it forms multiplies a power already within the cap by
+    at most k elements.  So while max_elements * k stays within the pair
+    guard, its first refusal is the first a(n) over the cap.  Past that
+    this check passes, and the sweep finds its own refusal.
+    """
+    if max_elements * k > _PAIR_GUARD:
+        return
+    over = np.flatnonzero(cards > max_elements)
+    if over.size:
+        _check_cap(int(cards[over[0]]), max_elements)
+
+
 def power_card_sequence(
     k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP
 ) -> list[int]:

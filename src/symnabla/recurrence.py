@@ -571,19 +571,26 @@ class ReductionTrace:
         a derivation deeper than the JSON encoder's recursion limit
         still serialises.  Each piece goes into one growing buffer and is
         freed at once, which keeps a large trace's peak memory near the
-        size of its text."""
+        size of its text.  Each node's head, its text up to the
+        children, is formatted once and kept by id(node), so a shared
+        node costs one write per occurrence and the kept heads grow only
+        with the DAG."""
         self._check_tree_size()
         out = io.StringIO()
+        heads: dict[int, str] = {}
         stack: list = [self]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 out.write(item)
                 continue
-            out.write(
-                f'{{"n": {item.n}, "bits": "{bin(item.n)[2:]}", '
-                f'"rule": {json.dumps(item.rule)}, "value": {item.value}, "children": ['
-            )
+            head = heads.get(id(item))
+            if head is None:
+                head = heads[id(item)] = (
+                    f'{{"n": {item.n}, "bits": "{bin(item.n)[2:]}", '
+                    f'"rule": {json.dumps(item.rule)}, "value": {item.value}, "children": ['
+                )
+            out.write(head)
             stack.append("]}")
             for j, child in enumerate(reversed(item.children)):
                 if j:

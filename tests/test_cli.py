@@ -212,6 +212,43 @@ def test_int64_writer_equals_the_str_path(fmt):
         assert _printed(values, fmt) == _printed(values.tolist(), fmt)
 
 
+def _printed_by_rows(values, fmt):
+    """The list formats as written before the chunked writer: csv.writer
+    and one print per row, and plain and json as one str each."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        if fmt == "plain":
+            print(" ".join(map(str, values)))
+        elif fmt == "csv":
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(["n", "value"])
+            writer.writerows([i, v] for i, v in enumerate(values))
+        elif fmt == "json":
+            print(json.dumps({"k": 8, "method": "auto", "values": values}))
+        else:
+            for i, v in enumerate(values):
+                print(f"{i} {v}")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "bfile"])
+def test_list_writer_equals_the_row_writers(fmt):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    if before is not None:
+        sys.set_int_max_str_digits(0)  # as main does
+    try:
+        huge = [sparse_term(8, t) for t in (5600, 5700, 6500)]  # 4358 to 5059 digits
+        assert min(len(str(v)) for v in huge) > 4300
+        lists = [[], [0], [1, 8] + huge + [7], huge * 3, list(range(2**16 + 3))]
+        lists.append(term_range(8, 3 * 2**16 + 5).tolist())  # several chunks
+        for values in lists:
+            assert _printed(values, fmt) == _printed_by_rows(values, fmt), len(values)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+
+
 def test_reduce_trace_of_a_huge_index(capsys):
     n = str(2**1500 - 1)
     code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace")
@@ -480,6 +517,26 @@ def test_seq_term_count_is_capped(capsys, monkeypatch):
     assert code == 0 and len(out.split()) == 50
 
 
+def test_seq_brute_refuses_before_building_sets(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a set was built before the refusal")
+
+    monkeypatch.setattr(cli, "power_card_sequence", refuse)
+    # the first a(n) over the cap, as the set sweep itself reports it
+    for k, limit, size in ((5, 4097, 54142101), (3, 65537, 43046721), (7, 65537, 89419819)):
+        code, out, err = run_cli(capsys, "seq", "--k", str(k), "--limit", str(limit), "--method", "brute")
+        assert (code, out) == (3, "")
+        assert err == f"error: symmetric power reached {size} elements, over the cap 16777216\n"
+    code, _, err = run_cli(capsys, "seq", "--k", "8", "--limit", "40", "--method", "brute", "--max-elements", "300")
+    assert code == 3 and err == "error: symmetric power reached 368 elements, over the cap 300\n"
+    # past the int64 guard of term_range the sets alone find the refusal
+    with pytest.raises(AssertionError, match="a set was built"):
+        main(["seq", "--k", "8", "--limit", str(2**22), "--method", "brute"])
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "40", "--method", "brute")
+    assert code == 0 and out.split() == [str(v) for v in term_range(8, 40).tolist()]
+
+
 HUGE_N = 2**6000 - 1
 
 
@@ -543,6 +600,71 @@ def test_chains_format_excludes_bfile():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["chains", "--k", "8", "--n", "1", "--format", "bfile"])
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cached_parser_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 1\n1 2\n2 2\n3 5\n")
+    fixture = str(FIXTURES / "b001316.txt")
+    calls = [
+        ("seq", "--k", "8", "--limit", "20", "--format", "json"),
+        ("seq", "--k", "8", "--limit", "20"),  # defaults again after non-default options
+        ("reduce", "--n", "27", "--trace", "--optional-rules", "--format", "json"),
+        ("reduce", "--n", "27"),
+        ("term", "--k", "8"),  # usage error: no --n
+        ("term", "--k", "8", "--n", "27", "--method", "brute", "--format", "csv"),
+        ("term", "--k", "0", "--n", "1"),  # exit 2
+        ("seq", "--k", "8", "--limit", "100", "--max-elements", "50"),  # exit 3
+        ("seq", "--k", "8", "--limit", "63", "--method", "brute"),  # the default cap again
+        ("sparse", "--k", "8", "--count", "3", "--format", "nonsense"),  # usage error
+        ("oeis", "--k", "2", "--bfile", str(bad), "--limit", "3"),  # exit 4
+        ("oeis", "--k", "2", "--bfile", fixture, "--limit", "16", "--format", "json"),
+        ("oeis", "--k", "2", "--bfile", fixture),  # --limit back to the b-file's coverage
+        ("term", "--help"),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build_parser)  # a new parser for every call
+        fresh = [_outcome(capsys, argv) for argv in calls]
+    assert {code for code, _, _ in fresh} == {0, 2, 3, 4, ("SystemExit", 2), ("SystemExit", 0)}
+    cli._parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in calls] == fresh
+    assert [_outcome(capsys, argv) for argv in reversed(calls)] == fresh[::-1]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for n in range(40):
+        assert main(["term", "--k", str(n % 8 + 1), "--n", str(n)]) == 0
+        with pytest.raises(SystemExit):
+            main(["term", "--k", "8"])
+    capsys.readouterr()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_main_runs_the_command_function_patched_after_the_parser_is_built(capsys, monkeypatch):
+    # a tracer wraps cmd_* on the module after the first call has built the parser
+    assert main(["term", "--k", "8", "--n", "27"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_term", lambda args: seen.append(args.n) or 0)
+    assert main(["term", "--k", "8", "--n", "5"]) == 0
+    assert seen == [5] and capsys.readouterr().out == "2216\n"
 
 
 def test_module_entry_point():

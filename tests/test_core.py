@@ -14,6 +14,7 @@ from symnabla.core import (
     ElementVec,
     SymSet,
     brute_card,
+    check_sequence_cap,
     make_base_set,
     power_card_sequence,
     sym_diff,
@@ -223,6 +224,29 @@ def test_element_cap_enforced(monkeypatch):
         power_card_sequence(8, 63)
     with pytest.raises(SizeLimitError, match=message):
         brute_card(8, 63)
+
+
+def test_check_sequence_cap_raises_what_the_sweep_raises(monkeypatch):
+    """From the true values, check_sequence_cap names the sweep's first
+    refusal, and passes when the pair guard could trip before the cap."""
+
+    def refusal(run):
+        try:
+            run()
+        except SizeLimitError as exc:
+            return str(exc)
+        return None
+
+    cards = {k: np.array(power_card_sequence(k, 60), dtype=np.int64) for k in range(1, 9)}
+    for guard in (core._PAIR_GUARD, 2000):
+        monkeypatch.setattr(core, "_PAIR_GUARD", guard)
+        for k in range(1, 9):
+            for cap in (1, 7, 100, 250, 251, 1000, 5000, 10**6):
+                swept = refusal(lambda: power_card_sequence(k, 60, max_elements=cap))
+                checked = refusal(lambda: check_sequence_cap(k, cards[k], cap))
+                assert checked == (swept if cap * k <= guard else None), (guard, k, cap)
+    # past the guard's reach the sweep's refusal can be the pair guard, which the check leaves to it
+    assert "pairwise products" in refusal(lambda: power_card_sequence(8, 60, max_elements=10**6))
 
 
 def test_mixed_rings_refused():

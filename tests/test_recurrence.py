@@ -1,6 +1,7 @@
 """Closed-form evaluators: sparse recurrences, run products, the
 five-state bit automaton, and the rewriting system."""
 
+import io
 import json
 import random
 from itertools import islice
@@ -621,13 +622,41 @@ def test_trace_serialisation():
     assert isinstance(trace, ReductionTrace)
 
 
+def to_json_tree_walk(trace):
+    """ReductionTrace.to_json as it was before heads were kept: the same
+    stack walk, but every node of the expanded tree formatted anew."""
+    out = io.StringIO()
+    stack = [trace]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.write(item)
+            continue
+        out.write(
+            f'{{"n": {item.n}, "bits": "{bin(item.n)[2:]}", '
+            f'"rule": {json.dumps(item.rule)}, "value": {item.value}, "children": ['
+        )
+        stack.append("]}")
+        for j, child in enumerate(reversed(item.children)):
+            if j:
+                stack.append(", ")
+            stack.append(child)
+    return out.getvalue()
+
+
 def test_trace_json_is_the_dict_serialised():
     rng = random.Random(12)
     samples = list(range(200)) + [rng.getrandbits(b) for b in range(10, 80, 3)]
+    # words whose derivations share nodes: all ones up to dense_cli's 2**18 - 1, and runs
+    samples += [2**j - 1 for j in range(1, 19)]
+    samples += [int("1" * a + "0" * b + "1" * c, 2) for a, b, c in ((5, 1, 9), (12, 2, 3), (7, 3, 7))]
+    samples += [long_words(bits, rng)[1] for bits in (12, 14, 16)]
     for optional_rules in (False, True):
         for n in samples:
             _, trace = reduce_term(n, trace=True, optional_rules=optional_rules)
-            assert trace.to_json() == json.dumps(trace.as_dict()), n
+            text = trace.to_json()
+            assert text == to_json_tree_walk(trace), n
+            assert text == json.dumps(trace.as_dict()), n
 
 
 def test_trace_walkers_survive_deep_derivations():
