@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.error
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,6 +203,9 @@ def fetch_bfile(
             "enable fetching explicitly or pass a local fixture b-file"
         )
     url = f"https://oeis.org/{sequence_id}/{filename}"
+    import urllib.error  # only a fetch needs them; they slow every import
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             text = resp.read().decode("utf-8")

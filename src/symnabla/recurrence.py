@@ -23,9 +23,11 @@ expansion of n without building any sets:
   word is cut at such gaps into blocks whose values multiply, and a run
   of L ones inside a block is the step matrix to the power L;
 * ``reduce_term(n)`` for k = 8: a rewriting system on binary expansions
-  with base cases {0, 1, 3} and five core rules (plus two optional
-  shortcuts that never change values), evaluated in two passes over bit
-  lengths.  It can return the full derivation as a ReductionTrace;
+  with base cases {0, 1, 3} and five core rules (plus three optional
+  shortcuts that never change values).  A plain value splits n at its
+  00 gaps and walks each block's prefixes from (a(0), a(1), a(3)), one
+  rule per bit; a trace or a cache gets the full derivation, built in
+  two passes over bit lengths, as a ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
   0..limit, evaluated one bit length at a time on int64 arrays, since
   every child has fewer bits than its parent.  Like
@@ -347,8 +349,8 @@ OPTIONAL_RULES = ("suffix_011011", "suffix_101011", "prefix_10101")
 def _rule_children(rule: str, n, i):
     """The children of n under a rule, for a Python int or an int64
     array alike.  i is the rule's bit position: the number of trailing
-    zeros, the low bit of the lowest 00 gap or 111 block, or the number
-    of bits below the 10101 prefix."""
+    zeros, the low bit of the lowest 00 gap, or the number of bits below
+    the 10101 prefix.  The other rules read the low bits of n."""
     if rule == "strip_zeros":
         return (n >> i,)
     if rule == "gap_split":
@@ -358,12 +360,7 @@ def _rule_children(rule: str, n, i):
     if rule == "suffix_011":
         return (((n >> 3) << 1) | 1, n >> 3)
     if rule == "block_111":
-        low, high = n & ((1 << i) - 1), n >> (i + 3)
-        return (
-            (high << (i + 2)) | (0b11 << i) | low,
-            (high << (i + 1)) | (1 << i) | low,
-            (high << i) | low,
-        )
+        return (n >> 1, n >> 2, n >> 3)
     if rule == "suffix_011011":
         head = n >> 6
         return ((head << 3) | 0b011, head)
@@ -383,13 +380,13 @@ def _low_bit(x: int) -> int:
 def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
     """Deterministic rule choice: trailing zeros first, then the lowest
     double-zero gap, then (optionally) the shortcut patterns, then the
-    01 / 011 suffixes, finally the lowest 111 block.  Every child has
-    strictly fewer bits, so rewriting terminates.
+    01 / 011 suffixes, finally the 111 block, which is then always the
+    lowest three bits.  Every child has strictly fewer bits, so
+    rewriting terminates.
 
-    The patterns are bit tests: bits i and i + 1 of n are both zero
-    where z & (z >> 1) has bit i set, with z the complement of n within
-    its bit length, and bits i..i + 2 are all ones where
-    n & (n >> 1) & (n >> 2) does."""
+    The gap is a bit test: bits i and i + 1 of n are both zero where
+    z & (z >> 1) has bit i set, with z the complement of n within its
+    bit length."""
     if n.bit_length() <= 2 and n in _BASE_VALUES:
         return "base", ()
     if not n & 1:
@@ -414,7 +411,7 @@ def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
     if n & 0b111 == 0b011:
         return "suffix_011", _rule_children("suffix_011", n, 0)
     # odd, no 00 gap, not ending 01/011: the expansion must end in 111
-    return "block_111", _rule_children("block_111", n, _low_bit(n & (n >> 1) & (n >> 2)))
+    return "block_111", _rule_children("block_111", n, 0)
 
 
 def _combine(rule: str, n: int, child_values: Sequence) -> int:
@@ -433,11 +430,7 @@ def _level_rules(n: np.ndarray, length: int):
     bit tests; the lowest set bit of x is read off x & -x, a power of
     two that frexp decomposes exactly."""
     z = n ^ ((1 << length) - 1)
-    positions = {
-        "strip_zeros": n,
-        "gap_split": z & (z >> 1),
-        "block_111": n & (n >> 1) & (n >> 2),
-    }
+    positions = {"strip_zeros": n, "gap_split": z & (z >> 1)}
     masks = (
         ("base", np.isin(n, list(_BASE_VALUES))),
         ("strip_zeros", n & 1 == 0),
@@ -617,6 +610,31 @@ class ReductionTrace:
         return "\n".join(lines)
 
 
+def _prefix_walk(blocks: Iterable[str]) -> Iterator[int]:
+    """term(8, m) for each block, the bit string of m, by one rule
+    application per bit.
+
+    The state (a(m), a(m.1), a(m.11)) starts at (a(0), a(1), a(3)) for
+    the empty prefix.  Appending a 0 applies strip_zeros, suffix_01 and
+    suffix_011 at bit 0; appending a 1 shifts the state and applies
+    block_111.  The coefficients are ``_value_rules(8)``'s, looked up by
+    the number t of trailing ones of the child m.1**t.
+    """
+    rules = {suffix: {t: c for c, t in children} for suffix, children in _value_rules(8)}
+    strip, s01 = rules["0"][0], rules["01"][0]
+    s011_1, s011_0 = rules["011"][1], rules["011"][0]
+    b111_2, b111_1, b111_0 = rules["111"][2], rules["111"][1], rules["111"][0]
+    start = tuple(_BASE_VALUES[m] for m in (0, 1, 3))
+    for block in blocks:
+        x, y, z = start
+        for bit in block:
+            if bit == "0":
+                x, y, z = strip * x, s01 * x, s011_1 * y + s011_0 * x
+            else:
+                x, y, z = y, z, b111_2 * z + b111_1 * y + b111_0 * x
+        yield x
+
+
 def reduce_term(
     n: int,
     *,
@@ -624,12 +642,22 @@ def reduce_term(
     optional_rules: bool = False,
     cache: Optional[dict[int, int]] = None,
 ):
-    """term(8, n) by rewriting, in two passes over bit lengths, since
-    every child has fewer bits than its parent.  Pass 1 selects each
-    node's rule once, from the top length down, and pass 2 combines
-    child values by node index, from length 0 up.  Nodes are keyed by n
-    only within one length: CPython hashes ints modulo 2**61 - 1, so the
-    2**j - 1 of all lengths would collide in one dict.
+    """term(8, n) by the rewriting rules.
+
+    Without a trace or a cache no derivation is built: the bit string of
+    n is split at every 00 pair (gap_split holds at any of them), each
+    distinct block is read by ``_prefix_walk``, one rule per bit, and
+    the block values are raised to their counts and multiplied.  The
+    plain value does not depend on optional_rules, which only change
+    the derivation's shape.
+
+    A trace or a cache exposes the derivation's nodes, so then it is
+    built in two passes over bit lengths, since every child has fewer
+    bits than its parent.  Pass 1 selects each node's rule once, from
+    the top length down, and pass 2 combines child values by node index,
+    from length 0 up.  Nodes are keyed by n only within one length:
+    CPython hashes ints modulo 2**61 - 1, so the 2**j - 1 of all lengths
+    would collide in one dict.
 
     Returns the value, or (value, ReductionTrace) when trace is set.  A
     cache of n -> value entries (valid under both rule sets) may be
@@ -638,6 +666,9 @@ def reduce_term(
     """
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
+    if cache is None and not trace:
+        counts = Counter(bin(n)[2:].split("00"))
+        return _product(map(pow, _prefix_walk(counts), counts.values()))
     lookup = cache is not None and not trace
     if lookup and n in cache:
         return cache[n]

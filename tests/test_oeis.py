@@ -1,9 +1,13 @@
 """B-file parsing, serialisation, crosschecks, and cached fetching."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import symnabla
 from symnabla.core import brute_card
 from symnabla.errors import (
     BFileFormatError,
@@ -181,7 +185,7 @@ def test_fetch_network_path_is_mocked(tmp_path, monkeypatch):
         calls.append((url, timeout))
         return FakeResponse()
 
-    monkeypatch.setattr("symnabla.oeis.urllib.request.urlopen", fake_urlopen)
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
     cache = tmp_path / "cache"
     bf = fetch_bfile("A001316", allow_network=True, cache_dir=cache, timeout=5.0)
     assert bf.entries == ((0, 1), (1, 2))
@@ -191,6 +195,17 @@ def test_fetch_network_path_is_mocked(tmp_path, monkeypatch):
     assert (cache / "b001316.txt").exists()
     again = fetch_bfile("A001316", cache_dir=cache)
     assert again.entries == bf.entries
+
+
+def test_import_leaves_urllib_request_unloaded():
+    """Only a fetch needs urllib.request, so importing the package (and
+    so every CLI start) does not pay for it."""
+    src = str(Path(symnabla.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, symnabla, symnabla.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_fetch_rejects_bad_ids():

@@ -532,6 +532,64 @@ def test_all_ones_derivation_has_one_node_per_length():
     assert reduce_term(runs) == matrix_term(runs)
 
 
+def test_plain_reduce_term_equals_the_derivation():
+    """The prefix walk gives the value the derivation does, under both
+    rule sets, since the optional rules never change a value."""
+    for n in range(1 << 14):
+        value = reduce_term(n)
+        assert value == reduce_term(n, trace=True)[0] == reduce_term(n, cache={}), n
+        assert value == reduce_term(n, optional_rules=True), n
+    rng = random.Random(20261018)
+    for bits in (64, 65, 127, 500, 1999, 4096, 8192):
+        for n in long_words(bits, rng):
+            assert reduce_term(n) == reduce_term(n, cache={}) == matrix_term(n), (bits, n)
+
+
+def test_plain_reduce_term_across_zero_runs():
+    """Zero runs of every length 1..5 split the walk differently: a 00
+    pair cuts a block, and an odd run leaves one 0 at the head of the
+    next block (or a block of its own at the end of n)."""
+    rng = random.Random(20261021)
+    words = []
+    for zeros in range(1, 6):
+        gap = "0" * zeros
+        words += [
+            "1" + gap + "1",  # the run right below the leading 1
+            "1" + gap + "111",
+            "1011" + gap,  # trailing
+            "111" + gap + "11" + gap + "1",
+            "1" + gap + "1" + gap + "1" + gap + "1",
+        ]
+    for _ in range(300):
+        parts = ["1" * rng.randint(1, 9) + "0" * rng.randint(1, 5) for _ in range(rng.randint(1, 12))]
+        words.append("".join(parts)[: rng.randint(1, 120)].rstrip("0") or "1")
+        words.append("".join(parts))
+    for word in words:
+        n = int(word, 2)
+        assert reduce_term(n) == reduce_term(n, cache={}) == matrix_term(n), word
+
+
+def test_plain_reduce_term_on_all_ones_is_the_sparse_recurrence():
+    for j, want in enumerate(islice(sparse_terms(8), 3001)):
+        assert reduce_term((1 << j) - 1) == want, j
+    assert want == sparse_term(8, 3000)
+
+
+def test_block_111_fires_only_at_bit_0():
+    """block_111 is reached only when n is odd, has no 00 gap and ends
+    neither in 01 nor in 011, so n ends in 111 and the block is there."""
+    rng = random.Random(20261022)
+    words = list(range(1 << 14))
+    for bits in (64, 500, 3000):
+        for n in long_words(bits, rng):
+            words += [n, int(bin(n)[2:].replace("00", "01"), 2)]
+    for optional_rules in (False, True):
+        for n in words:
+            rule, kids = _select_rule(n, optional_rules)
+            if rule == "block_111":
+                assert n & 7 == 7 and kids == (n >> 1, n >> 2, n >> 3), n
+
+
 def test_int64_guard_bounds_hold():
     """The facts the int64 guard rests on: every state component and
     value below 2**14 is at most the all-ones term of its bit length, the
@@ -761,6 +819,12 @@ def test_annihilation_per_k():
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10**6))
 def test_reduce_equals_matrix_property(n):
+    assert reduce_term(n) == matrix_term(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**4000))
+def test_plain_reduce_term_equals_matrix_on_long_words(n):
     assert reduce_term(n) == matrix_term(n)
 
 
