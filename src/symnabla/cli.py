@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -333,10 +334,10 @@ def cmd_oeis(args) -> int:
     sequence_id = catalogued_id(args.k)  # before any file or network access
     if args.bfile is not None:
         try:
-            text = open(args.bfile, "r", encoding="utf-8").read()
+            data = Path(args.bfile).read_bytes()
         except OSError as exc:
             raise DomainError(f"cannot read b-file {args.bfile}: {exc}") from exc
-        bfile = parse_bfile(text)
+        bfile = parse_bfile(data)
     else:
         bfile = fetch_bfile(sequence_id, allow_network=True, cache_dir=args.cache_dir)
     limit = args.limit

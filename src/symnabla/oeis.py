@@ -85,11 +85,20 @@ class BFile:
 def parse_bfile(text: str | bytes, sequence_id: Optional[str] = None) -> BFile:
     """Parse b-file content.
 
-    Malformed lines raise BFileParseError with the 1-based line number;
-    non-monotone indices raise BFileFormatError.
+    Malformed lines, and bytes that are not UTF-8, raise BFileParseError
+    with the 1-based line number; non-monotone indices raise
+    BFileFormatError.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number the bad byte's line as splitlines() numbers lines
+            # below; the "x" opens a new line after a trailing break
+            line_number = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise BFileParseError(
+                f"not UTF-8: byte {text[exc.start : exc.start + 1]!r}", line_number
+            ) from None
     if sequence_id is not None:
         _check_sequence_id(sequence_id)
     entries: list[tuple[int, int]] = []
@@ -196,7 +205,7 @@ def fetch_bfile(
     filename = f"b{sequence_id[1:]}.txt"
     path = cache_dir_path(cache_dir) / filename
     if path.exists():
-        return parse_bfile(path.read_text(), sequence_id)
+        return parse_bfile(path.read_bytes(), sequence_id)
     if not allow_network:
         raise TransportError(
             f"{sequence_id} is not cached at {path} and networking is disabled; "
@@ -214,7 +223,7 @@ def fetch_bfile(
     bfile = parse_bfile(text, sequence_id)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     except OSError as exc:
         warnings.warn(f"could not cache {sequence_id} at {path}: {exc}")
     return bfile

@@ -2,18 +2,24 @@
 
 Let term(k, n) be the cardinality of the n-th symmetric power of
 {1, ..., k}.  Everything here reproduces that number from the binary
-expansion of n without building any sets:
+expansion of n without building any sets.
+
+a_k is 2-regular, and one minimal linear representation per k in 2..8
+(``_representation``) carries every per-index engine but the chain
+word: V(n) = (a(n), a(n.1), a(n.11)) cut to the rank r (1 for
+k = 2, 3, 2 for k = 4..7, 3 at k = 8), V(2n + b) = A_b V(n) and
+V(0) = (a(0), a(1), a(3)) cut the same way.  Its rows are the value rules of ``_value_rules``, whose
+coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
+``_RULE_COEFFS``.
 
 * ``sparse_term(k, t)``: the subsequence at the all-ones indices
-  2**t - 1, which satisfies a short linear recurrence for each
-  k in 2..8 (``_SPARSE_RECURRENCES``, the one table of these facts).
-  A single term is a power of the recurrence's companion matrix;
-  ``sparse_terms`` walks the recurrence for a whole prefix;
+  2**t - 1, the first component of A1**t V(0); ``sparse_terms`` steps
+  V(0) by A1 for a whole prefix;
 * ``fast_term(k, n)`` for k <= 7: the term is the product of sparse
   terms over the maximal runs of 1-bits of n, each distinct run length
-  reached by jumps along the recurrence.  The underlying
-  multiplicativity breaks at k = 8 (n = 11 is the smallest
-  counterexample), so k = 8 is rejected;
+  reached by sorted jumps of A1.  The underlying multiplicativity
+  breaks at k = 8 (n = 11 is the smallest counterexample), so k = 8 is
+  rejected;
 * ``matrix_term(n, k)`` for k in 4..8: a 5-state (k = 8) or 3-state
   matrix word read off the bits of n, most significant first - the
   step matrix per 1-bit, the squaring matrix per 0-bit - applied to
@@ -21,23 +27,23 @@ expansion of n without building any sets:
   A power of the squaring matrix (g zeros in a row: g = 2 at k = 8,
   1 below) is the rank-one projector onto the initial state, so the
   word is cut at such gaps into blocks whose values multiply, and a run
-  of L ones inside a block is the step matrix to the power L;
+  of L ones inside a block is the step matrix to the power L
+  (``_word_state``).  These are the matrices verify_transfer replays
+  against sets, so they cross-check the representation;
 * ``reduce_term(n)`` for k = 8: a rewriting system on binary expansions
   with base cases {0, 1, 3} and five core rules (plus three optional
-  shortcuts that never change values).  A plain value splits n at its
-  00 gaps and walks each block's prefixes from (a(0), a(1), a(3)), one
-  rule per bit; a trace or a cache gets the full derivation, built in
-  two passes over bit lengths, as a ReductionTrace;
+  shortcuts that never change values).  A plain value is the k = 8
+  representation's word, through the same ``_word_state``; a trace or
+  a cache gets the full derivation, built in two passes over bit
+  lengths, as a ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
   0..limit, evaluated one bit length at a time on int64 arrays, since
   every child has fewer bits than its parent.  Like
   ``matrix_term_range``, it refuses limits whose values could wrap
   int64;
-* ``term_range(k, limit)`` for k in 1..8: the default sweep.  a_k is
-  2-regular, and its minimal linear representation (rank 1 for
-  k = 2, 3, 2 for k = 4..7, 3 at k = 8), read as value rules on the
-  low bits of n (``_value_rules``), gives every term of a doubling
-  [lo, 2 lo - 1] from earlier ones by a few strided int64 slices.
+* ``term_range(k, limit)`` for k in 1..8: the default sweep.  The
+  value rules give every term of a doubling [lo, 2 lo - 1] from
+  earlier ones by a few strided int64 slices.
 
 All matrix powers go through one kernel in ``chains`` that applies
 cached repeated squarings, so the cost grows with the number of runs
@@ -95,62 +101,34 @@ _SPARSE_RECURRENCES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-# The same recurrences as companion matrices acting on the window
-# (sparse(t), sparse(t - 1), ...), newest first: k -> (the matrix, whose
-# rows are the coefficients and then a shift, and the window at the
-# last seed).
-_JUMPS = {
-    k: (
-        (coeffs,) + tuple(tuple(int(j == i) for j in range(len(coeffs))) for i in range(len(coeffs) - 1)),
-        seeds[::-1][: len(coeffs)],
-    )
-    for k, (seeds, coeffs) in _SPARSE_RECURRENCES.items()
-}
-
-
-def _check_sparse_k(k: int) -> None:
-    if k not in _SPARSE_RECURRENCES:
-        raise DomainError(f"sparse recurrences cover k in 2..8, got {k}")
-
-
 def sparse_terms(k: int) -> Iterator[int]:
-    """term(k, 2**t - 1) for t = 0, 1, 2, ... without end, by one walk of
-    the linear recurrence.  A k outside 2..8 raises on the first term."""
-    _check_sparse_k(k)
-    seeds, coeffs = _SPARSE_RECURRENCES[k]
-    yield from seeds
-    window = list(seeds[-len(coeffs) :])  # oldest first, so coeffs pair reversed
-    reversed_coeffs = coeffs[::-1]
+    """term(k, 2**t - 1) for t = 0, 1, 2, ... without end: V(0) stepped
+    by A1 of ``_representation``, one matrix-vector product per term.
+    A k outside 2..8 raises on the first term."""
+    v, _, step = _representation(k)
     while True:
-        window.append(sum(map(mul, reversed_coeffs, window)))
-        del window[0]
-        yield window[-1]
+        yield v[0]
+        v = mat_vec(step, v)
 
 
 def _sparse_values(k: int, lengths: Iterable[int]) -> dict[int, int]:
     """term(k, 2**t - 1) for each t in lengths, which are distinct.
 
-    Visits them in sorted order and jumps from one to the next with a
-    power of the companion matrix, so the cost follows the bit lengths
-    of the jumps, not their sizes.
+    Visits them in sorted order, carrying V(2**t - 1) from V(0) and
+    jumping from one length to the next with a power of A1, so the cost
+    follows the bit lengths of the jumps, not their sizes.
     """
-    _check_sparse_k(k)
-    seeds = _SPARSE_RECURRENCES[k][0]
-    companion, window = _JUMPS[k]
-    t = len(seeds) - 1
+    v, _, step = _representation(k)
+    t = 0
     values = {}
     for length in sorted(lengths):
-        if length <= t:
-            values[length] = seeds[length]
-        else:
-            window = _pow_vec(companion, length - t, window)
-            t = length
-            values[length] = window[0]
+        v, t = _pow_vec(step, length - t, v), length
+        values[length] = v[0]
     return values
 
 
 def sparse_term(k: int, t: int) -> int:
-    """term(k, 2**t - 1), by a power of the recurrence's companion matrix."""
+    """term(k, 2**t - 1), by a power of A1 applied to V(0)."""
     if t < 0:
         raise DomainError(f"index must be >= 0, got {t}")
     return _sparse_values(k, (t,))[t]
@@ -159,10 +137,11 @@ def sparse_term(k: int, t: int) -> int:
 def fast_term(k: int, n: int) -> int:
     """Product of sparse terms over the maximal 1-runs of n (k <= 7).
 
-    Each distinct run length is evaluated once, by jumps along the
-    sparse recurrence (``_sparse_values``), and raised to the number of
-    runs of that length.  Rejects k = 8, where run-multiplicativity
-    fails.
+    Each distinct run length is evaluated once, by sorted jumps of A1
+    (``_sparse_values``), and raised to the number of runs of that
+    length: the gap width is 1 below k = 8, so this is the minimal
+    representation's word with every block a single run.  Rejects
+    k = 8, where run-multiplicativity fails.
     """
     if k == 8:
         raise DomainError(
@@ -200,7 +179,8 @@ def gap_split_check(k: int, alpha: int, beta: int, s: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Matrix word (k = 4..8)
+# Gap-split matrix words: the chain word (k = 4..8) and the minimal
+# representation (k = 2..8)
 
 
 def _product(values: Iterable[int]) -> int:
@@ -213,11 +193,11 @@ def _product(values: Iterable[int]) -> int:
 
 
 @cache
-def _gap_width(k: int) -> int:
-    """The smallest g with squaring_matrix(k)**g equal to the rank-one
-    projector onto the initial state: 1 for k <= 7, 2 for k = 8."""
-    square = squaring_matrix(k).rows
-    projector = vec_outer(initial_vector(k), cardinality_functional(k))
+def _gap_width(square, initial: tuple[int, ...], functional: tuple[int, ...]) -> int:
+    """The smallest g with square**g equal to the rank-one projector
+    initial * functional: 2 at k = 8 and 1 below, for the chain word and
+    the minimal representation alike."""
+    projector = vec_outer(initial, functional)
     return next(g for g in range(1, len(square) + 1) if mat_pow(square, g) == projector)
 
 
@@ -231,31 +211,35 @@ def _block_state(block: str, step, square, initial: tuple[int, ...]) -> tuple[in
     return v
 
 
-def matrix_state(n: int, k: int = 8) -> tuple[int, ...]:
-    """The structural state at index n, from the bit word.
+def _word_state(n: int, initial, step, square, functional) -> tuple[int, ...]:
+    """The state of n's bit word: read most significant bit first, the
+    word applies step per 1-bit and square per 0-bit to initial.
 
-    Read most significant bit first, the word applies the step matrix
-    per 1-bit and the squaring matrix per 0-bit to the initial state (5
-    components at k = 8, 3 for k in 4..7).  g zeros in a row, g from
-    ``_gap_width``, apply the projector initial * functional, so the
-    word is split at every g zeros into blocks (a longer zero run leaves
-    its remainder at the head of the next block, and empty blocks of
-    value 1).  Every block but the last contributes the scalar
-    functional . state(block), and the last block's state is scaled by
-    their product, taken in a balanced tree.  Inside a block a run of L
-    ones is step**L by repeated squaring and each zero is one squaring
-    matrix.  Equal blocks are evaluated once.
+    g zeros in a row, g from ``_gap_width``, apply the projector
+    initial * functional, so the word is split at every g zeros into
+    blocks (a longer zero run leaves its remainder at the head of the
+    next block, and empty blocks of value 1).  Every block but the last
+    contributes the scalar functional . state(block), and the last
+    block's state is scaled by their product, taken in a balanced tree.
+    Inside a block a run of L ones is step**L by repeated squaring and
+    each zero is one squaring matrix.  Equal blocks are evaluated once.
     """
-    if n < 0:
-        raise DomainError(f"index must be >= 0, got {n}")
-    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
-    initial, functional = initial_vector(k), cardinality_functional(k)
-    *head, last = bin(n)[2:].split("0" * _gap_width(k))
+    *head, last = bin(n)[2:].split("0" * _gap_width(square, initial, functional))
     scale = _product(
         sum(map(mul, functional, _block_state(block, step, square, initial))) ** count
         for block, count in Counter(head).items()
     )
     return tuple(scale * x for x in _block_state(last, step, square, initial))
+
+
+def matrix_state(n: int, k: int = 8) -> tuple[int, ...]:
+    """The structural state at index n: ``_word_state`` with the step
+    and squaring matrices that verify_transfer replays against sets, on
+    5 components at k = 8 and 3 for k in 4..7."""
+    if n < 0:
+        raise DomainError(f"index must be >= 0, got {n}")
+    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
+    return _word_state(n, initial_vector(k), step, square, cardinality_functional(k))
 
 
 def matrix_term(n: int, k: int = 8) -> int:
@@ -610,31 +594,6 @@ class ReductionTrace:
         return "\n".join(lines)
 
 
-def _prefix_walk(blocks: Iterable[str]) -> Iterator[int]:
-    """term(8, m) for each block, the bit string of m, by one rule
-    application per bit.
-
-    The state (a(m), a(m.1), a(m.11)) starts at (a(0), a(1), a(3)) for
-    the empty prefix.  Appending a 0 applies strip_zeros, suffix_01 and
-    suffix_011 at bit 0; appending a 1 shifts the state and applies
-    block_111.  The coefficients are ``_value_rules(8)``'s, looked up by
-    the number t of trailing ones of the child m.1**t.
-    """
-    rules = {suffix: {t: c for c, t in children} for suffix, children in _value_rules(8)}
-    strip, s01 = rules["0"][0], rules["01"][0]
-    s011_1, s011_0 = rules["011"][1], rules["011"][0]
-    b111_2, b111_1, b111_0 = rules["111"][2], rules["111"][1], rules["111"][0]
-    start = tuple(_BASE_VALUES[m] for m in (0, 1, 3))
-    for block in blocks:
-        x, y, z = start
-        for bit in block:
-            if bit == "0":
-                x, y, z = strip * x, s01 * x, s011_1 * y + s011_0 * x
-            else:
-                x, y, z = y, z, b111_2 * z + b111_1 * y + b111_0 * x
-        yield x
-
-
 def reduce_term(
     n: int,
     *,
@@ -644,12 +603,13 @@ def reduce_term(
 ):
     """term(8, n) by the rewriting rules.
 
-    Without a trace or a cache no derivation is built: the bit string of
-    n is split at every 00 pair (gap_split holds at any of them), each
-    distinct block is read by ``_prefix_walk``, one rule per bit, and
-    the block values are raised to their counts and multiplied.  The
-    plain value does not depend on optional_rules, which only change
-    the derivation's shape.
+    Without a trace or a cache no derivation is built: the value is the
+    first component of the k = 8 minimal representation's word
+    (``_representation`` through ``_word_state``), whose rows are the
+    core rules at bit 0.  The word splits n at every 00 pair, as
+    gap_split does, and a run of L ones in a block is A1**L by repeated
+    squaring.  The plain value does not depend on optional_rules, which
+    only change the derivation's shape.
 
     A trace or a cache exposes the derivation's nodes, so then it is
     built in two passes over bit lengths, since every child has fewer
@@ -667,8 +627,9 @@ def reduce_term(
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     if cache is None and not trace:
-        counts = Counter(bin(n)[2:].split("00"))
-        return _product(map(pow, _prefix_walk(counts), counts.values()))
+        initial, a0, a1 = _representation(8)
+        first = (1,) + (0,) * (len(initial) - 1)
+        return _word_state(n, initial, a1, a0, first)[0]
     lookup = cache is not None and not trace
     if lookup and n in cache:
         return cache[n]
@@ -717,7 +678,8 @@ def _value_rules(k: int) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
     the 11 rule is the sparse recurrence; at k = 8 the 01, 011 and 111
     rules are ``suffix_01``, ``suffix_011`` and ``block_111`` at bit 0.
     """
-    _check_sparse_k(k)
+    if k not in _SPARSE_RECURRENCES:
+        raise DomainError(f"sparse recurrences cover k in 2..8, got {k}")
     seeds, coeffs = _SPARSE_RECURRENCES[k]
     rules = [("0", _RULE_COEFFS["strip_zeros"], (0,))]
     if k <= 3:
@@ -731,6 +693,32 @@ def _value_rules(k: int) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
             ("111", _RULE_COEFFS["block_111"], (2, 1, 0)),
         ]
     return tuple((suffix, tuple(zip(cs, ts))) for suffix, cs, ts in rules)
+
+
+@cache
+def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
+    """a_k's minimal linear representation (V(0), A0, A1) for k in 2..8,
+    read off ``_value_rules(k)``.
+
+    V(n) = (a(n), a(n.1), ..., a(n.1**(r-1))) has r = 1, 2, 3 components
+    for k = 2..3, 4..7, 8, and V(2n + b) = A_b V(n).  Row i of A0 is the
+    rule for the suffix 0.1**i; A1 shifts V up by one and its last row
+    is the rule for 1**r.  V(0) = (a(0), a(1), a(3), ...) is the sparse
+    table's seeds.  So a(n) is the first component of the word of n,
+    and a(2**t - 1) that of A1**t V(0).
+    """
+    rules = dict(_value_rules(k))
+    r = len(rules) - 1
+
+    def row(suffix: str) -> tuple[int, ...]:
+        coeffs = [0] * r
+        for c, t in rules[suffix]:
+            coeffs[t] = c
+        return tuple(coeffs)
+
+    a0 = tuple(row("0" + "1" * i) for i in range(r))
+    a1 = mat_identity(r)[1:] + (row("1" * r),)
+    return _SPARSE_RECURRENCES[k][0], a0, a1
 
 
 def term_range(k: int, limit: int) -> np.ndarray:

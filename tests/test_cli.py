@@ -415,6 +415,14 @@ def test_oeis_missing_file_exits_2(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_oeis_non_utf8_bfile_exits_2_with_the_line(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n1 \xff\xfe\n")
+    code, out, err = run_cli(capsys, "oeis", "--k", "2", "--bfile", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2") and "Traceback" not in err
+
+
 def test_oeis_fetch_without_network_exits_2(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise TransportError("no network in tests")

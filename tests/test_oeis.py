@@ -58,6 +58,24 @@ def test_parse_comments_blanks_and_bytes():
     assert bf.sequence_id is None
 
 
+def test_parse_bytes_that_are_not_utf8():
+    """A bad byte is a parse error on the line that holds it, numbered
+    as the lines of decoded text are."""
+    cases = [
+        (b"\xff0 1\n", 1),
+        (b"0 1\n1 \xff\xfe\n", 2),
+        (b"0 1\n\x80", 2),  # the bad byte opens a line
+        (b"0 1\r\n1 2\r\n\xc3", 3),  # a truncated two-byte sequence
+        (b"0 1\r1 \xff", 2),  # a lone CR ends a line for splitlines
+        (b"# \xc3\xa9 is fine\n0 1\n1 2\n2 \xe9\n", 4),
+    ]
+    for raw, line in cases:
+        with pytest.raises(BFileParseError) as info:
+            parse_bfile(raw)
+        assert info.value.line_number == line, raw
+        assert str(info.value).startswith(f"line {line}: not UTF-8"), raw
+
+
 def test_parse_negative_values_allowed():
     # b-files may carry negative terms and offsets
     bf = parse_bfile("-1 5\n0 -7\n")
@@ -160,6 +178,17 @@ def test_fetch_uses_cache_without_network(tmp_path):
     bf = fetch_bfile("A001316", cache_dir=cache)
     assert bf.entries == ((0, 1), (1, 2), (2, 4))
     assert bf.sequence_id == "A001316"
+
+
+def test_fetch_reads_the_cache_as_utf8_bytes(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "b001316.txt").write_bytes("# \u00e9\n0 1\n1 2\n".encode("utf-8"))
+    assert fetch_bfile("A001316", cache_dir=cache).entries == ((0, 1), (1, 2))
+    (cache / "b001316.txt").write_bytes(b"0 1\n1 2\n2 \xff\n")
+    with pytest.raises(BFileParseError) as info:
+        fetch_bfile("A001316", cache_dir=cache)
+    assert info.value.line_number == 3
 
 
 def test_fetch_without_cache_or_network_flag(tmp_path):

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from symnabla.chains import (
     cardinality_functional,
     initial_vector,
+    mat_identity,
+    mat_mul,
     mat_vec,
     squaring_matrix,
     transfer_matrix,
@@ -27,9 +29,12 @@ from symnabla.recurrence import (
     OPTIONAL_RULES,
     ReductionTrace,
     _combine,
+    _gap_width,
     _level_rules,
+    _representation,
     _select_rule,
     _value_rules,
+    _word_state,
     annihilation_check,
     fast_term,
     gap_split_check,
@@ -203,14 +208,69 @@ def test_matrix_term_equals_reduce_on_long_random_words():
 
 
 def test_sparse_jumps_equal_the_recurrence_walk():
+    """Jumps and the step-by-step walk both read A1 of the minimal
+    representation, so each is also held to an engine that does not:
+    k**t at k = 2, 3 and the chain word for k = 4..8."""
     for k in range(2, 9):
         walk = list(islice(sparse_terms(k), 301))
         assert [sparse_term(k, t) for t in range(301)] == walk
-    for k in (4, 5, 6, 7):
+    for k in range(2, 9):
         walk = list(islice(sparse_terms(k), 5001))
         for t in (0, 1, 2, 3, 4, 31, 256, 1000, 4999, 5000):
             n = (1 << t) - 1
-            assert sparse_term(k, t) == walk[t] == fast_term(k, n) == matrix_term(n, k), (k, t)
+            other = k**t if k <= 3 else matrix_term(n, k)
+            assert sparse_term(k, t) == walk[t] == other, (k, t)
+            if k <= 7:
+                assert fast_term(k, n) == other, (k, t)
+
+
+def _det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_representation_is_the_minimised_chain_word():
+    """(V(0), A0, A1) is the chain word minimised, in integers.  P, the
+    rows f, f.T, ..., f.T**(r-1) of the functional f and the step matrix
+    T, maps a chain state to V: P.T = A1.P, P.Q = A0.P for the squaring
+    matrix Q, and P.initial = V(0).  Both words cut at gaps of the same
+    width.  r reachable vectors V(n) are independent, and the rows
+    e0.A1**i are the unit rows, so no smaller representation exists.
+    Below k = 4 there is no chain word, and the rank-1 word is
+    k**popcount(n)."""
+    for k in range(4, 9):
+        initial, a0, a1 = _representation(k)
+        r = len(initial)
+        assert r == (3 if k == 8 else 2)
+        step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
+        rows = [cardinality_functional(k)]
+        for _ in range(r - 1):
+            rows.append(vec_mat(rows[-1], step))
+        assert mat_mul(rows, step) == mat_mul(a1, rows), k
+        assert mat_mul(rows, square) == mat_mul(a0, rows), k
+        assert mat_vec(rows, initial_vector(k)) == initial, k
+        first = mat_identity(r)[0]
+        width = _gap_width(a0, initial, first)
+        assert width == _gap_width(square, initial_vector(k), cardinality_functional(k))
+        assert width == (2 if k == 8 else 1)
+        reached = [_word_state(n, initial, a1, a0, first) for n in range(r)]
+        assert _det(reached) != 0, k
+        unit_rows = [first]
+        for _ in range(r - 1):
+            unit_rows.append(vec_mat(unit_rows[-1], a1))
+        assert tuple(unit_rows) == mat_identity(r), k
+    rng = random.Random(20261023)
+    for k in (2, 3):
+        initial, a0, a1 = _representation(k)
+        assert len(initial) == 1
+        assert _gap_width(a0, initial, (1,)) == 1
+        for n in list(range(1 << 10)) + [rng.getrandbits(bits) for bits in (64, 500, 3000)]:
+            assert _word_state(n, initial, a1, a0, (1,)) == (k ** bin(n).count("1"),), (k, n)
 
 
 def test_matrix_term_matches_brute():
@@ -533,8 +593,9 @@ def test_all_ones_derivation_has_one_node_per_length():
 
 
 def test_plain_reduce_term_equals_the_derivation():
-    """The prefix walk gives the value the derivation does, under both
-    rule sets, since the optional rules never change a value."""
+    """The minimal representation's word gives the value the derivation
+    does, under both rule sets, since the optional rules never change a
+    value."""
     for n in range(1 << 14):
         value = reduce_term(n)
         assert value == reduce_term(n, trace=True)[0] == reduce_term(n, cache={}), n
@@ -546,7 +607,7 @@ def test_plain_reduce_term_equals_the_derivation():
 
 
 def test_plain_reduce_term_across_zero_runs():
-    """Zero runs of every length 1..5 split the walk differently: a 00
+    """Zero runs of every length 1..5 split the word differently: a 00
     pair cuts a block, and an odd run leaves one 0 at the head of the
     next block (or a block of its own at the end of n)."""
     rng = random.Random(20261021)
@@ -570,8 +631,12 @@ def test_plain_reduce_term_across_zero_runs():
 
 
 def test_plain_reduce_term_on_all_ones_is_the_sparse_recurrence():
+    """The plain value and the walk both read A1; the derivation, with a
+    cache shared along j, reads block_111 instead."""
+    cache = {}
     for j, want in enumerate(islice(sparse_terms(8), 3001)):
-        assert reduce_term((1 << j) - 1) == want, j
+        n = (1 << j) - 1
+        assert reduce_term(n) == want == reduce_term(n, cache=cache), j
     assert want == sparse_term(8, 3000)
 
 
