@@ -68,49 +68,95 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 
 
 _CHUNK = 1 << 16  # rows per piece of vectorised output
+_TEXT_SLICE = 1 << 20  # characters per write of a long text
+
+# A nonnegative int64 x has 1 + searchsorted(_TENS, x, "right") digits.
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+# Byte i of a '<u8' word is its i-th character, on any host.  _KEEP[z]
+# has the bytes z..7 set: it keeps a word of 8 digits past z leading zeros.
+_KEEP = np.array([sum(1 << 8 * i for i in range(z, 8)) for z in range(9)], dtype="<u8")
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
 
 
-def _fill_digits(x: np.ndarray, digits: np.ndarray, keep: np.ndarray) -> None:
-    """Write the decimal digits of a nonnegative int64 array into the
-    uint8 matrix digits as ASCII, one right-aligned row per value, by
-    x // 10 passes, and mark the significant ones in keep (the last
-    always, so 0 prints as 0)."""
-    x = x.astype(np.uint64)
-    for j in range(digits.shape[1] - 1, -1, -1):
-        keep[:, j] = x > 0
-        q = x // 10
-        digits[:, j] = x - q * 10
-        x = q
-    keep[:, -1] = True
-    digits += ord("0")
+@functools.cache
+def _keep_rows(limbs: int) -> np.ndarray:
+    """Row d - 1: the keep words of a d-digit value, right-aligned in
+    limbs words of 8 digits."""
+    zeros = 8 * limbs - np.arange(1, 20)
+    return _KEEP[np.clip(zeros[:, None] - 8 * np.arange(limbs), 0, 8)]
+
+
+def _lane_split(y: np.ndarray, q: np.ndarray, divisor: int, lane: int) -> np.ndarray:
+    """Split each lane of y into two lanes of half its width: q = y //
+    divisor (lanewise) in the low half, y - divisor * q in the high one,
+    so the leading digits come first in memory.  q + ((y - divisor q)
+    << lane) is y << lane plus q times 1 - (divisor << lane) mod 2**64."""
+    y <<= np.uint64(lane)
+    q *= np.uint64((1 - (divisor << lane)) % 2**64)
+    y += q
+    return y
+
+
+def _digit_words(x: np.ndarray, limbs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal digits of a nonnegative int64 array x, right-aligned
+    in a (rows, limbs) matrix of '<u8' words of 8 ASCII digits, most
+    significant first, and the matching keep words: every byte but the
+    leading zeros, and the last digit always, so 0 prints as 0.
+
+    Each base-10**8 limb becomes one word by SWAR: it is split 4|4
+    digits into 32-bit lanes, then 2|2 into 16-bit lanes with
+    (y * 10486) >> 20 for y // 100 (exact below 43699), then 1|1 into
+    bytes with (y * 103) >> 10 for y // 10 (exact below 179)."""
+    u = x.astype(np.uint64)
+    y = np.empty((limbs, len(x)), dtype=np.uint64)  # one contiguous row per limb
+    for j in range(limbs - 1):
+        scale = np.uint64(10 ** (8 * (limbs - 1 - j)))
+        y[j] = u // scale
+        u -= y[j] * scale
+    y[-1] = u
+    y = _lane_split(y, y // np.uint64(10**4), 10**4, 32)
+    q = (y * np.uint64(10486) >> np.uint64(20)) & np.uint64(0x0000007F0000007F)
+    y = _lane_split(y, q, 100, 16)
+    q = (y * np.uint64(103) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
+    y = _lane_split(y, q, 10, 8)
+    y |= _ASCII_ZEROS
+    return y.T, _keep_rows(limbs).take(np.searchsorted(_TENS, x, side="right"), axis=0)
+
+
+def _word(text: bytes) -> int:
+    """The '<u8' word whose first bytes are text and the rest zero."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
 def _write_int64(values: np.ndarray, end: str, index_sep: str = "", join: bool = False) -> None:
     """Write each value of a nonnegative int64 array in decimal and then
     end, preceded by its index and index_sep when index_sep is given.
     With join, end only separates values.  Each chunk of rows is laid
-    out as one uint8 matrix of digits and separators, which a mask
-    compacts, so no str is made per value."""
+    out as one (rows, words) matrix of '<u8' words: up to three words of
+    8 digits per number (``_digit_words``) and one word per separator.
+    A flat boolean index of its bytes by the keep words compacts it, so
+    no str is made per value."""
     for lo in range(0, len(values), _CHUNK):
         chunk = values[lo : lo + _CHUNK]
         fields = [chunk, end]
         if index_sep:
             fields[:0] = [np.arange(lo, lo + len(chunk)), index_sep]
-        widths = [len(f) if isinstance(f, str) else len(str(int(f.max()))) for f in fields]
-        text = np.empty((len(chunk), sum(widths)), dtype=np.uint8)
-        keep = np.ones(text.shape, dtype=bool)
+        words = [1 if isinstance(f, str) else -(-len(str(int(f.max()))) // 8) for f in fields]
+        text = np.empty((len(chunk), sum(words)), dtype="<u8")
+        keep = np.empty(text.shape, dtype="<u8")
         at = 0
-        for field, width in zip(fields, widths):
+        for field, width in zip(fields, words):
             columns = slice(at, at + width)
             if isinstance(field, str):
-                text[:, columns] = np.frombuffer(field.encode("ascii"), dtype=np.uint8)
+                text[:, columns] = _word(field.encode("ascii"))
+                keep[:, columns] = _word(b"\1" * len(field))
             else:
-                _fill_digits(field, text[:, columns], keep[:, columns])
+                text[:, columns], keep[:, columns] = _digit_words(field, width)
             at += width
-        out = text[keep].tobytes().decode("ascii")
+        out = text.view(np.uint8).reshape(-1)[keep.view(bool).reshape(-1)].tobytes()
         if join and lo + _CHUNK >= len(values):
             out = out[: -len(end)]
-        sys.stdout.write(out)
+        sys.stdout.write(out.decode("ascii"))
 
 
 def _write_list(values: list, end: str, index_sep: str = "", join: bool = False) -> None:
@@ -324,9 +370,16 @@ def cmd_reduce(args) -> int:
         print(f"value {value}")
     else:  # json
         text = json.dumps({"n": args.n, "value": value, "optional_rules": args.optional_rules})
-        if trace is not None:  # the trace is the last key, written by its own encoder
-            text = f'{text[:-1]}, "trace": {trace.to_json()}}}'
-        print(text)
+        if trace is None:
+            print(text)
+            return 0
+        # The trace is the last key, written by its own encoder, and in
+        # slices, so that stdout never encodes a second copy of it at once.
+        trace_text = trace.to_json()
+        sys.stdout.write(f'{text[:-1]}, "trace": ')
+        for lo in range(0, len(trace_text), _TEXT_SLICE):
+            sys.stdout.write(trace_text[lo : lo + _TEXT_SLICE])
+        print("}")
     return 0
 
 

@@ -57,7 +57,6 @@ the brute oracle.
 
 from __future__ import annotations
 
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -103,12 +102,14 @@ _SPARSE_RECURRENCES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 
 def sparse_terms(k: int) -> Iterator[int]:
     """term(k, 2**t - 1) for t = 0, 1, 2, ... without end: V(0) stepped
-    by A1 of ``_representation``, one matrix-vector product per term.
-    A k outside 2..8 raises on the first term."""
+    by A1 of ``_representation``.  All rows of A1 but the last are unit
+    shifts, so a step shifts V up and appends one dot product with the
+    last row.  A k outside 2..8 raises on the first term."""
     v, _, step = _representation(k)
+    last = step[-1]
     while True:
         yield v[0]
-        v = mat_vec(step, v)
+        v = (*v[1:], sum(map(mul, last, v)))
 
 
 def _sparse_values(k: int, lengths: Iterable[int]) -> dict[int, int]:
@@ -546,34 +547,40 @@ class ReductionTrace:
     def to_json(self) -> str:
         """json.dumps(self.as_dict()), written without nesting calls, so
         a derivation deeper than the JSON encoder's recursion limit
-        still serialises.  Each piece goes into one growing buffer and is
-        freed at once, which keeps a large trace's peak memory near the
-        size of its text.  Each node's head, its text up to the
-        children, is formatted once and kept by id(node), so a shared
-        node costs one write per occurrence and the kept heads grow only
-        with the DAG."""
+        still serialises.
+
+        A stack walk appends the text's pieces to one list, joined once
+        at the end.  When a node's text is complete, the slice of the
+        list that holds it is kept by id(node), and each later
+        occurrence of the node extends the list by that slice: it copies
+        pointers to the same pieces and does not walk the subtree again.
+        So each node of the DAG is formatted once, and the list grows
+        with the number of pieces of the text, not with their size."""
         self._check_tree_size()
-        out = io.StringIO()
-        heads: dict[int, str] = {}
+        parts: list[str] = []
+        spans: dict[int, tuple[int, int]] = {}
         stack: list = [self]
         while stack:
             item = stack.pop()
             if isinstance(item, str):
-                out.write(item)
-                continue
-            head = heads.get(id(item))
-            if head is None:
-                head = heads[id(item)] = (
+                parts.append(item)
+            elif isinstance(item, tuple):  # the text of node is done
+                start, node = item
+                spans[id(node)] = (start, len(parts))
+            elif id(item) in spans:
+                start, end = spans[id(item)]
+                parts += parts[start:end]
+            else:
+                stack += [(len(parts), item), "]}"]
+                parts.append(
                     f'{{"n": {item.n}, "bits": "{bin(item.n)[2:]}", '
                     f'"rule": {json.dumps(item.rule)}, "value": {item.value}, "children": ['
                 )
-            out.write(head)
-            stack.append("]}")
-            for j, child in enumerate(reversed(item.children)):
-                if j:
-                    stack.append(", ")
-                stack.append(child)
-        return out.getvalue()
+                for j, child in enumerate(reversed(item.children)):
+                    if j:
+                        stack.append(", ")
+                    stack.append(child)
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines: list[str] = []

@@ -202,12 +202,32 @@ def _printed(values, fmt):
 CRAFTED = np.array([10**j + d for j in range(19) for d in (-1, 0, 1)] + [2**63 - 1], dtype=np.int64)
 
 
+def _mixed_widths(rows):
+    """One chunk's rows cycling through 1, 8, 9, 16, 17 and 19 digits: one
+    and two words of 8 digits, full and with a digit over, and three
+    words, the most an int64 needs."""
+    rng = np.random.default_rng(7)
+    lows = [0, 10**7, 10**8, 10**15, 10**16, 10**18]
+    highs = [10, 10**8, 10**9, 10**16, 10**17, 2**63]
+    digits = np.resize(np.arange(6), rows)
+    return rng.integers(np.take(lows, digits), np.take(highs, digits), dtype=np.int64)
+
+
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json", "bfile"])
 def test_int64_writer_equals_the_str_path(fmt):
     assert {len(str(v)) for v in CRAFTED.tolist()} == set(range(1, 20))
     limits = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)  # around the writer's chunks
     arrays = [term_range(8, limit) for limit in limits]
     arrays += [CRAFTED, CRAFTED[::-1], np.array([], dtype=np.int64)]
+    mixed = _mixed_widths(2**16)
+    assert [len(str(v)) for v in mixed[:12].tolist()] == [1, 8, 9, 16, 17, 19] * 2
+    # a seeded sample of every bit length, so every digit count
+    rng = np.random.default_rng(20261018)
+    sample = rng.integers(0, 2**63 - 1, 5000, dtype=np.int64) >> rng.integers(0, 64, 5000)
+    assert {int(v).bit_length() for v in sample.tolist()} == set(range(64))
+    arrays += [mixed, sample]
+    if fmt in ("csv", "bfile"):  # the index gets wider between chunks, past 10**5 and 10**6
+        arrays.append(term_range(8, 10**6 + 3))
     for values in arrays:
         assert _printed(values, fmt) == _printed(values.tolist(), fmt)
 

@@ -264,10 +264,11 @@ def test_representation_is_the_minimised_chain_word():
         for _ in range(r - 1):
             unit_rows.append(vec_mat(unit_rows[-1], a1))
         assert tuple(unit_rows) == mat_identity(r), k
+        assert a1[:-1] == mat_identity(r)[1:], k  # unit shifts, as sparse_terms steps
     rng = random.Random(20261023)
     for k in (2, 3):
         initial, a0, a1 = _representation(k)
-        assert len(initial) == 1
+        assert len(initial) == 1 and a1[:-1] == ()
         assert _gap_width(a0, initial, (1,)) == 1
         for n in list(range(1 << 10)) + [rng.getrandbits(bits) for bits in (64, 500, 3000)]:
             assert _word_state(n, initial, a1, a0, (1,)) == (k ** bin(n).count("1"),), (k, n)
@@ -770,16 +771,32 @@ def to_json_tree_walk(trace):
 def test_trace_json_is_the_dict_serialised():
     rng = random.Random(12)
     samples = list(range(200)) + [rng.getrandbits(b) for b in range(10, 80, 3)]
-    # words whose derivations share nodes: all ones up to dense_cli's 2**18 - 1, and runs
-    samples += [2**j - 1 for j in range(1, 19)]
+    # words whose derivations share nodes: all ones up to 2**20 - 1, and runs
+    samples += [2**j - 1 for j in range(1, 21)]
     samples += [int("1" * a + "0" * b + "1" * c, 2) for a, b, c in ((5, 1, 9), (12, 2, 3), (7, 3, 7))]
     samples += [long_words(bits, rng)[1] for bits in (12, 14, 16)]
+    # 51 = 110011 splits into the node 3 twice; then equal gap blocks, nested
+    samples.append(0b110011)
+    word = "1011"
+    for _ in range(3):
+        word = f"{word}00{word}"
+        samples.append(int(word, 2))
     for optional_rules in (False, True):
         for n in samples:
             _, trace = reduce_term(n, trace=True, optional_rules=optional_rules)
             text = trace.to_json()
             assert text == to_json_tree_walk(trace), n
             assert text == json.dumps(trace.as_dict()), n
+    _, trace = reduce_term(0b110011, trace=True)
+    assert trace.rule == "gap_split" and trace.children[0] is trace.children[1]
+    # deeper than the JSON encoder's recursion limit: only the tree walk
+    # compares, and under the optional rules its tree passes the cap
+    deep = int("10" * 750 + "1", 2)
+    _, trace = reduce_term(deep, trace=True)
+    assert trace.to_json() == to_json_tree_walk(trace)
+    _, trace = reduce_term(deep, trace=True, optional_rules=True)
+    with pytest.raises(SizeLimitError):
+        trace.to_json()
 
 
 def test_trace_walkers_survive_deep_derivations():
