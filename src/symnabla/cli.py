@@ -223,7 +223,7 @@ def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]
             return matrix_term_range(limit, k)
     except DomainError:
         pass  # the int64 guard tripped; fall back to per-index calls
-    if engine == "reduce":
+    if method == "reduce":  # "auto" at k = 8 runs the plain word, no derivation
         cache: dict[int, int] = {}
         return [reduce_term(n, cache=cache) for n in range(limit + 1)]
     return [term(k, n, engine, max_elements=max_elements) for n in range(limit + 1)]
@@ -497,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--optional-rules",
         action="store_true",
-        help="enable the shortcut rewrites (values never change)",
+        help="enable the shortcut rewrites (values never change, but a JSON trace can "
+        "pass the node cap and exit 3 where the core rules' trace prints)",
     )
     _add_format(p, ("plain", "json"))
 

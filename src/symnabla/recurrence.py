@@ -26,16 +26,19 @@ coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
   the initial state, then contracted with the cardinality functional.
   A power of the squaring matrix (g zeros in a row: g = 2 at k = 8,
   1 below) is the rank-one projector onto the initial state, so the
-  word is cut at such gaps into blocks whose values multiply, and a run
-  of L ones inside a block is the step matrix to the power L
-  (``_word_state``).  These are the matrices verify_transfer replays
-  against sets, so they cross-check the representation;
+  word is cut at such gaps into blocks whose values multiply
+  (``_word_state``).  Inside a block, a zero and the run of L < 64 ones
+  after it are one cached matrix (``_run_matrix``), and a longer run
+  is the step matrix to the power L.  These are the matrices
+  verify_transfer replays against sets, so they cross-check the
+  representation (``term(k, n, "matrix")``);
 * ``reduce_term(n)`` for k = 8: a rewriting system on binary expansions
   with base cases {0, 1, 3} and five core rules (plus three optional
   shortcuts that never change values).  A plain value is the k = 8
-  representation's word, through the same ``_word_state``; a trace or
-  a cache gets the full derivation, built in two passes over bit
-  lengths, as a ReductionTrace;
+  representation's 3-state word, through the same ``_word_state``, and
+  is what ``term(8, n)`` returns by default; a trace or a cache gets
+  the full derivation, built in two passes over bit lengths, as a
+  ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
   0..limit, evaluated one bit length at a time on int64 arrays, since
   every child has fewer bits than its parent.  Like
@@ -202,13 +205,32 @@ def _gap_width(square, initial: tuple[int, ...], functional: tuple[int, ...]) ->
     return next(g for g in range(1, len(square) + 1) if mat_pow(square, g) == projector)
 
 
+# Runs of ones shorter than this after a zero are one cached matrix
+# (``_run_matrix``); longer runs go through repeated squaring, where the
+# big-int products outweigh the per-matrix Python calls.
+_RUN_TABLE = 64
+
+
+@cache
+def _run_matrix(step, square, length: int) -> tuple[tuple[int, ...], ...]:
+    """step**length . square: a zero followed by a run of length ones,
+    built from the run one shorter."""
+    if length == 0:
+        return square
+    return mat_mul(step, _run_matrix(step, square, length - 1))
+
+
 def _block_state(block: str, step, square, initial: tuple[int, ...]) -> tuple[int, ...]:
     """The state of one block's bit word: step**L for a run of L ones,
-    the squaring matrix at each zero."""
+    the squaring matrix at each zero.  A zero and the run of L < 64 ones
+    after it are one matrix-vector product with ``_run_matrix``."""
     runs = block.split("0")
     v = _pow_vec(step, len(runs[0]), initial)
     for run in runs[1:]:
-        v = _pow_vec(step, len(run), mat_vec(square, v))
+        if len(run) < _RUN_TABLE:
+            v = mat_vec(_run_matrix(step, square, len(run)), v)
+        else:
+            v = _pow_vec(step, len(run), mat_vec(square, v))
     return v
 
 
@@ -222,8 +244,9 @@ def _word_state(n: int, initial, step, square, functional) -> tuple[int, ...]:
     next block, and empty blocks of value 1).  Every block but the last
     contributes the scalar functional . state(block), and the last
     block's state is scaled by their product, taken in a balanced tree.
-    Inside a block a run of L ones is step**L by repeated squaring and
-    each zero is one squaring matrix.  Equal blocks are evaluated once.
+    Inside a block (``_block_state``) a zero and the run of L ones after
+    it are one matrix, and only a leading run or one of 64 ones or more
+    goes through repeated squaring.  Equal blocks are evaluated once.
     """
     *head, last = bin(n)[2:].split("0" * _gap_width(square, initial, functional))
     scale = _product(
@@ -614,8 +637,9 @@ def reduce_term(
     first component of the k = 8 minimal representation's word
     (``_representation`` through ``_word_state``), whose rows are the
     core rules at bit 0.  The word splits n at every 00 pair, as
-    gap_split does, and a run of L ones in a block is A1**L by repeated
-    squaring.  The plain value does not depend on optional_rules, which
+    gap_split does, and inside a block a zero and the run of ones after
+    it are one cached matrix A1**L A0 (A1**L by repeated squaring for
+    L >= 64).  The plain value does not depend on optional_rules, which
     only change the derivation's shape.
 
     A trace or a cache exposes the derivation's nodes, so then it is
@@ -769,14 +793,17 @@ METHODS = ("auto", "brute", "fast", "matrix", "reduce")
 
 
 def resolve_method(k: int, method: str) -> str:
-    """The engine term(k, n, method) runs, with "auto" resolved.  The
-    fast and matrix engines check their own range of k."""
+    """The engine term(k, n, method) runs, with "auto" resolved: "fast"
+    for k <= 7, "reduce" (the 3-state representation word; the 5-state
+    chain word stays as "matrix", its cross-check) for k = 8 and
+    "brute" above.  The fast and matrix engines check their own range
+    of k."""
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
     if not 1 <= k <= MAX_K:
         raise DomainError(f"k must be in 1..{MAX_K}, got {k}")
     if method == "auto":
-        return "fast" if k <= 7 else ("matrix" if k == 8 else "brute")
+        return "fast" if k <= 7 else ("reduce" if k == 8 else "brute")
     if method == "reduce" and k != 8:
         raise DomainError(f"method 'reduce' is defined only for k=8, got k={k}")
     return method
@@ -792,9 +819,10 @@ def term(
     """Cardinality of the n-th symmetric power of {1, ..., k}.
 
     method "auto" picks the run-product formula for k <= 7 (faster than
-    the matrix word at a single huge index), the matrix word for k = 8
-    and the brute set oracle otherwise.  "matrix" covers k = 4..8,
-    "reduce" only k = 8 and "fast" only k <= 7.
+    the matrix word at a single huge index), the minimal
+    representation's word (plain ``reduce_term``) for k = 8 and the
+    brute set oracle otherwise.  "matrix" covers k = 4..8, "reduce"
+    only k = 8 and "fast" only k <= 7.
     """
     method = resolve_method(k, method)
     if n < 0:

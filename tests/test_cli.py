@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symnabla
-from symnabla import cli
+from symnabla import cli, recurrence
 from symnabla.cli import build_parser, main
 from symnabla.errors import DomainError, SizeLimitError, TransportError
 from symnabla.oeis import parse_bfile
@@ -25,6 +25,7 @@ from symnabla.recurrence import (
     fast_term,
     matrix_term,
     matrix_term_range,
+    reduce_term,
     sparse_term,
     sparse_terms,
     term_range,
@@ -172,6 +173,42 @@ def test_seq_reduce_sweep_falls_back_per_index(capsys, monkeypatch):
     assert swept["plain"].split() == [str(matrix_term(n)) for n in range(601)]
 
 
+def test_seq_k8_auto_past_the_int64_guard_runs_the_plain_word(capsys, monkeypatch):
+    """Past the guard, seq falls back to one call per index.  With auto
+    at k = 8 that is the plain representation word, printed byte for
+    byte as the chain word prints it, and no call builds a derivation
+    through a shared cache; only --method reduce passes one."""
+    guard = recurrence._check_int64_sweep
+
+    def low_guard(limit, k, per_index):
+        if limit > 255:
+            raise DomainError("values overflow the int64 sweep")
+        guard(limit, k, per_index)
+
+    calls = []
+
+    def counted(n, **kwargs):
+        calls.append(kwargs)
+        return reduce_term(n, **kwargs)
+
+    monkeypatch.setattr(recurrence, "_check_int64_sweep", low_guard)
+    monkeypatch.setattr(recurrence, "reduce_term", counted)
+    monkeypatch.setattr(cli, "reduce_term", counted)
+    printed = {}
+    for fmt in ("plain", "csv", "json", "bfile"):
+        argv = ("seq", "--k", "8", "--limit", "600", "--format", fmt)
+        code, printed[fmt], _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 601 and not any("cache" in kw for kw in calls), fmt
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv, "--method", "matrix")
+        assert (code, calls) == (0, [])
+        assert printed[fmt] == out.replace('"method": "matrix"', '"method": "auto"'), fmt
+    code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "600", "--method", "reduce")
+    assert (code, out) == (0, printed["plain"])
+    assert len(calls) == 601 and all("cache" in kw for kw in calls)
+
+
 def test_seq_plain_output_spans_several_slices(capsys):
     limit = 3 * 2**16 + 5  # plain output is joined 2**16 values at a time
     code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", str(limit), "--method", "reduce")
@@ -283,6 +320,19 @@ def test_reduce_trace_of_a_huge_index(capsys):
     code, out, err = run_cli(capsys, "reduce", "--n", str(deep), "--trace", "--format", "json")
     assert code == 0 and err == ""
     assert out.startswith(f'{{"n": {deep}, "value": {matrix_term(deep)}, "optional_rules": false, "trace": {{"n": {deep}, ')
+
+
+def test_optional_rules_can_push_a_json_trace_over_the_cap(capsys):
+    """On 10 repeated 750 times then 1, prefix_10101 fires at every
+    length and its children share little, so the tree grows like the
+    Fibonacci numbers and passes the cap, while the core rules' tree
+    stays small."""
+    n = str(int("10" * 750 + "1", 2))
+    code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace", "--format", "json")
+    assert code == 0 and err == "" and out.startswith(f'{{"n": {n}, ')
+    code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace", "--format", "json", "--optional-rules")
+    assert (code, out) == (3, "")
+    assert err == "error: the derivation expands to a tree of more than the cap of 16777216 nodes\n"
 
 
 def test_chains_plain(capsys):

@@ -44,6 +44,7 @@ from symnabla.recurrence import (
     matrix_term_range,
     reduce_term,
     reduce_term_range,
+    resolve_method,
     sparse_term,
     sparse_terms,
     term,
@@ -205,6 +206,61 @@ def test_matrix_term_equals_reduce_on_long_random_words():
     for bits in (1000, 3000, 7000, 12000, 20000):
         n = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
         assert matrix_term(n) == reduce_term(n), bits
+
+
+def run_table_words():
+    """Words whose blocks hold, after a single zero, runs of every length
+    1..70, on both sides of the run table's bound of 64: ascending,
+    descending and shuffled; cut by 00 and 000 gaps into blocks (a 000
+    gap leaves a zero at the head of the next block); with trailing
+    zeros; and with a last block that ends in a run of 63, 64 or 70."""
+    rng = random.Random(20261019)
+    lengths = list(range(1, 71))
+    shuffled = rng.sample(lengths, len(lengths))
+    words = []
+    for order in (lengths, lengths[::-1], shuffled):
+        words.append("1" + "".join("0" + "1" * length for length in order))
+    groups = [shuffled[i : i + 7] for i in range(0, 70, 7)]
+    for gap in ("00", "000"):
+        words.append(gap.join("1" + "".join("0" + "1" * length for length in group) for group in groups))
+    words += [word + "0" * zeros for word in words[:2] for zeros in (1, 2, 3, 5)]
+    for tail in (63, 64, 70):
+        words.append(words[2] + "00" + "11" + "0" + "1" * tail)
+        words.append(words[2] + "0" + "1" * tail)
+    return [int(word, 2) for word in words]
+
+
+def representation_walk(n, k):
+    """The minimal representation one bit at a time, most significant
+    first: A1 per 1-bit and A0 per 0-bit, applied to V(0)."""
+    v, a0, a1 = _representation(k)
+    for bit in bin(n)[2:]:
+        v = mat_vec(a1 if bit == "1" else a0, v)
+    return v
+
+
+def test_run_table_equals_the_per_bit_walk():
+    """A zero and the run of L < 64 ones after it are one cached matrix
+    in ``_block_state``, and longer runs go through repeated squaring;
+    both words must still be the per-bit walk."""
+    words = run_table_words()
+    for k in range(4, 9):
+        for n in words:
+            assert matrix_state(n, k) == walk_state(n, k), (k, n)
+    for k in range(2, 9):
+        initial, a0, a1 = _representation(k)
+        first = mat_identity(len(initial))[0]
+        for n in words:
+            assert _word_state(n, initial, a1, a0, first) == representation_walk(n, k), (k, n)
+
+
+def test_term_at_k8_equals_the_chain_word_on_the_huge_index_grid():
+    """term(8, n) runs the minimal representation's word, so it is held
+    to the 5-state chain word on huge_index's patterns and bit lengths."""
+    rng = random.Random(20261020)
+    for bits in (round(64 * 128 ** (j / 6)) for j in range(7)):
+        for n in long_words(bits, rng):
+            assert term(8, n) == matrix_term(n), (bits, n)
 
 
 def test_sparse_jumps_equal_the_recurrence_walk():
@@ -855,6 +911,8 @@ def test_trace_shared_subtrees_print_once():
 
 
 def test_term_dispatch():
+    assert resolve_method(8, "auto") == "reduce"
+    assert resolve_method(7, "auto") == "fast"
     assert term(8, 1883) == 4997448
     assert term(8, 1883, method="matrix") == 4997448
     assert term(8, 1883, method="reduce") == 4997448
