@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage or domain error, 3 resource cap
-exceeded, 4 verification mismatch.  A stdout closed by its reader (as
-``| head`` does) ends the command quietly with 0.
+exceeded or memory exhausted (a MemoryError), 4 verification
+mismatch.  A stdout closed by its reader (as ``| head`` does) ends the
+command quietly with 0.
 
 ``main`` may be called repeatedly in one process.  It parses with one
 parser per process, built on the first call, so a later call pays only
@@ -551,8 +552,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SizeLimitError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (
         DomainError,

@@ -16,9 +16,12 @@ An integer product is an exponent-vector sum, so the real work is
 multiplicity-parity bookkeeping over pairwise vector sums: rows are
 packed into 64-bit integer keys (one bit field per prime, sized to the
 operation at hand), the key array is sorted, and runs of equal keys are
-kept or dropped by the parity of their length.  If the fields ever
-outgrow 63 bits the code falls back to row-wise reduction; results are
-identical, only slower.
+kept or dropped by the parity of their length.  One kernel,
+``_toggle_sums``, does this for every packed product; past
+``_CHUNK_KEYS`` sums it works one output key range at a time, so its
+buffers stay near that size.  If the fields ever outgrow 63 bits the
+code falls back to row-wise reduction; results are identical, only
+slower.
 
 The object of interest downstream is the n-th symmetric power of the
 base set {1, ..., k}, whose cardinality as a function of n the chain and
@@ -28,12 +31,11 @@ one key layout per call: each field holds n times the base set's
 largest exponent in its column, which bounds that exponent in every
 power 0..n.  The powers then stay sorted int64 keys from start to end:
 squaring doubles every key, multiplying by the base set goes through the
-same add/sort/parity kernel as ``sym_prod``, and only ``sym_power``
-unpacks, once, at the end.  A layout wider than 63 bits (k = 64 at
-n = 8, say) steps ``SymSet`` values with ``sym_square`` and
-``sym_prod`` instead.  Power sets grow fast, so the power operations
-take an element cap and raise SizeLimitError instead of exhausting
-memory.
+same kernel as ``sym_prod``, and only ``sym_power`` unpacks, once, at
+the end.  A layout wider than 63 bits (k = 64 at n = 8, say) steps
+``SymSet`` values with ``sym_square`` and ``sym_prod`` instead, along
+the same steps.  Power sets grow fast, so the power operations take an
+element cap and raise SizeLimitError instead of exhausting memory.
 
 The dense sweep ``power_card_sequence`` uses the ring's characteristic
 2 twice.  With H = {1, ..., k} and S = H**m, H**(2m) is S with every
@@ -41,8 +43,9 @@ element squared, so a(2m) = |S|.  And H**(2m+1) is the sum over the
 square-free c of c * (S * Q_c)**2, with Q_c = {q : c * q**2 <= k}; the
 classes never cancel one another, so a(2m+1) = sum over c of |S * Q_c|,
 at k = 8 equal to 4|S| + 2|S * {1, 2}|.  The sweep therefore builds only
-the powers up to limit/2.  ``brute_card`` and ``sym_power`` stay plain
-square-and-multiply on sets, the independent oracle.
+the powers up to limit/2, as keys or, past 63 bits, as SymSets.
+``brute_card`` and ``sym_power`` stay plain square-and-multiply on
+sets, the independent oracle.
 
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
@@ -73,7 +76,9 @@ DEFAULT_ELEMENT_CAP = 1 << 24
 # instead of thrashing memory.
 _PAIR_GUARD = 1 << 28
 
-# Chunk size (in keys) for blocked pairwise-product accumulation.
+# Most sums _toggle_sums forms at once: a product of more pairs is cut
+# into output key slices of about this many sums (256 MiB of int64), and
+# the wide-row fallback of sym_prod reduces blocks of about a quarter.
 _CHUNK_KEYS = 1 << 25
 
 
@@ -171,14 +176,44 @@ def _parity_sorted(keys: np.ndarray) -> np.ndarray:
 def _toggle_sums(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
     """Sorted keys hit an odd number of times by the sums ka[i] + kb[j].
 
-    ka must be sorted and every sum must fit the packed fields.  Row j
-    of the outer sum is ka shifted by kb[j], a sorted run, and a stable
-    (merge-based) sort joins such runs about twice as fast as the
-    default quicksort.
+    The one packed product kernel.  ka and kb must be sorted and every
+    sum must fit the packed fields.  Copy j of ka shifted by kb[j] is a
+    sorted run, and a stable (merge-based) sort joins such runs about
+    twice as fast as the default quicksort.
+
+    Up to _CHUNK_KEYS sums are formed, sorted and reduced at once.  Past
+    that, with ka the longer operand, the output key range is cut into
+    s = ceil(pairs / _CHUNK_KEYS) slices at quantiles of a sample of the
+    sums: every step-th key of each copy, step = len(ka) // 8s.  Equal
+    quantiles merge, so there may be fewer slices.  A slice gathers its
+    sums from every copy with searchsorted on ka, at the left side of
+    each cut, so each sum lands in exactly one slice and equal sums
+    share one.  Each slice is sorted and reduced on its own; the slices
+    are disjoint and ascending, so concatenating their survivors gives
+    the sorted result.  A copy holds fewer than step keys more than its
+    sample points in a slice, so a slice holds about pairs / s sums
+    plus an eighth, and more only where one sum repeats that often.
     """
-    out = np.add.outer(kb, ka).ravel()
-    out.sort(kind="stable")
-    return _parity_sorted(out)
+    pairs = ka.size * kb.size
+    if pairs <= _CHUNK_KEYS:
+        out = np.add.outer(kb, ka).ravel()
+        out.sort(kind="stable")
+        return _parity_sorted(out)
+    if kb.size > ka.size:
+        ka, kb = kb, ka
+    slices = -(-pairs // _CHUNK_KEYS)
+    sample = np.add.outer(kb, ka[:: max(1, ka.size // (8 * slices))]).ravel()
+    sample.sort()
+    cuts = np.unique(sample[sample.size * np.arange(1, slices) // slices])
+    edges = np.searchsorted(ka, cuts[:, None] - kb)
+    edges = np.vstack([np.zeros_like(kb), edges, np.full_like(kb, ka.size)])
+    parts = []
+    for starts, ends in zip(edges[:-1], edges[1:]):
+        out = np.concatenate([ka[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())])
+        out += np.repeat(kb, ends - starts)
+        out.sort(kind="stable")
+        parts.append(_parity_sorted(out))
+    return np.concatenate(parts)
 
 
 def _parity_rows(exps: np.ndarray) -> np.ndarray:
@@ -381,6 +416,10 @@ def sym_diff(a: SymSet, b: SymSet) -> SymSet:
 def sym_prod(a: SymSet, b: SymSet) -> SymSet:
     """Symmetric product: pairwise products with even-count cancellation.
 
+    When the column sums pack into 63 bits, both operands are packed
+    with those fields and multiplied by _toggle_sums, whatever their
+    sizes; otherwise raw rows are reduced block by block.
+
     The annihilator rule holds: S * empty == empty.  Raises
     SizeLimitError when a column's largest exponents sum to 2**63 or
     more, since the summed rows would not fit in int64.
@@ -405,23 +444,8 @@ def sym_prod(a: SymSet, b: SymSet) -> SymSet:
         )
     shifts, total = _field_shifts(maxima)
     if total <= 63:
-        ka = _pack(ea, shifts)  # canonical row order makes these ascending
-        kb = _pack(eb, shifts)
-        if p <= 512:
-            keys = _toggle_sums(ka, kb)
-        else:
-            rows_per = max(1, _CHUNK_KEYS // p)
-            partials = []
-            for i0 in range(0, m, rows_per):
-                block = (ka[i0 : i0 + rows_per, None] + kb[None, :]).reshape(-1)
-                block.sort(kind="stable")
-                partials.append(_parity_sorted(block))
-            if len(partials) == 1:
-                keys = partials[0]
-            else:
-                merged = np.concatenate(partials)
-                merged.sort(kind="stable")
-                keys = _parity_sorted(merged)
+        # canonical row order makes both key arrays ascending
+        keys = _toggle_sums(_pack(ea, shifts), _pack(eb, shifts))
         return SymSet(a.k, _unpack(keys, maxima), _internal=True)
     # Wide-exponent fallback: reduce raw rows chunk by chunk.  Parity is
     # additive mod 2, so reducing partial accumulations is sound.
@@ -602,44 +626,40 @@ def power_card_sequence(
     element c * x**2.  Hence a(2m+1) = sum over c of |S * Q_c|, which at
     k = 8 is 4|S| + 2|S * {1, 2}|.
 
-    The sweep steps S = H**m on sorted int64 keys, whose fields are
-    sized for power limit, for m <= limit/2 only, reports a(2m) and
+    The sweep steps S = H**m for m <= limit/2 only, reports a(2m) and
     a(2m+1) from it, and checks the element cap on every reported
     cardinality in index order.  Every set it holds is no larger than
-    some reported a(n).  Layouts wider than 63 bits instead step SymSets
-    with sym_prod through every power 0..limit.
+    some reported a(n).  S is sorted int64 keys, whose fields are sized
+    for power limit, multiplied by _times_keys; when that layout needs
+    more than 63 bits, S is a SymSet multiplied by sym_prod, along the
+    same steps.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     base = make_base_set(k)
     packed = _base_keys(base, limit)
     if packed is None:
-        current = SymSet.from_values(k, [1])
-        cards = [1]
-        for _ in range(limit):
-            current = sym_prod(current, base)
-            _check_cap(len(current), max_elements)
-            cards.append(len(current))
-        return cards
-    kb, maxima = packed
-    shifts = _field_shifts(maxima)[0]
-    # Q_c = {1, ..., r} packed, or None for r = 1, where S * Q_c is S
+        power, times, pack = SymSet.from_values(k, [1]), sym_prod, lambda s: s
+    else:
+        shifts = _field_shifts(packed[1])[0]
+        power, times = np.zeros(1, dtype=np.int64), _times_keys
+        pack = lambda s: _pack(s.exponents, shifts)
+    # Q_c = {1, ..., r} in the power's form, or None for r = 1, where S * Q_c is S
     classes = [
-        (count, _pack(SymSet.from_values(k, range(1, r + 1)).exponents, shifts) if r > 1 else None)
+        (count, pack(SymSet.from_values(k, range(1, r + 1))) if r > 1 else None)
         for r, count in _square_classes(k)
     ]
-    power = np.zeros(1, dtype=np.int64)  # S = H**0 = {1}
+    base = pack(base)
     cards = []
     for n in range(limit + 1):
         if n % 2:
             card = sum(
-                count * (power.size if q is None else _times_keys(power, q).size)
-                for count, q in classes
+                count * len(power if q is None else times(power, q)) for count, q in classes
             )
         else:
             if n:
-                power = _times_keys(power, kb)
-            card = power.size
+                power = times(power, base)
+            card = len(power)
         _check_cap(card, max_elements)
         cards.append(card)
     return cards

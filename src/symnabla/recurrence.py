@@ -605,23 +605,40 @@ class ReductionTrace:
                     stack.append(child)
         return "".join(parts)
 
-    def to_text(self) -> str:
-        lines: list[str] = []
+    def _text_lines(self) -> Iterator[tuple["ReductionTrace", int, bool]]:
+        """(node, depth, repeat) for each line of to_text, in order: a
+        non-leaf node seen before is one line marked as a repeat."""
         seen: set[int] = set()
         stack = [(self, 0)]
         while stack:
             node, depth = stack.pop()
-            line = (
-                f"{'  ' * depth}n={node.n} bits={bin(node.n)[2:]} "
-                f"rule={node.rule} value={node.value}"
-            )
-            if node.children and id(node) in seen:
-                lines.append(line + " (expanded above)")
-                continue
-            seen.add(id(node))
-            lines.append(line)
-            stack.extend((child, depth + 1) for child in reversed(node.children))
-        return "\n".join(lines)
+            repeat = bool(node.children) and id(node) in seen
+            yield node, depth, repeat
+            if not repeat:
+                seen.add(id(node))
+                stack.extend((child, depth + 1) for child in reversed(node.children))
+
+    def to_text(self) -> str:
+        """One line per node, each shared non-leaf subtree printed once.
+
+        A line holds n in decimal and in binary, so on an L-bit index the
+        text is quadratic in L.  Before formatting, the lines' lengths are
+        bounded from bit lengths (x < 2**b has at most b // 3 + 1 digits),
+        and past 8 * DEFAULT_ELEMENT_CAP characters SizeLimitError is
+        raised.  That cap is above the 104 MB JSON trace of 2**24 - 1."""
+        cap = 8 * DEFAULT_ELEMENT_CAP
+        size = 0
+        for node, depth, repeat in self._text_lines():
+            bits = node.n.bit_length()
+            digits = bits // 3 + node.value.bit_length() // 3 + 2
+            size += 2 * depth + bits + digits + len(node.rule) + 40
+            if size > cap:
+                raise SizeLimitError(f"the trace text would pass the cap of {cap} characters")
+        return "\n".join(
+            f"{'  ' * depth}n={node.n} bits={bin(node.n)[2:]} "
+            f"rule={node.rule} value={node.value}" + (" (expanded above)" if repeat else "")
+            for node, depth, repeat in self._text_lines()
+        )
 
 
 def reduce_term(

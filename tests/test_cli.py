@@ -576,6 +576,31 @@ def test_size_limit_exits_3(capsys):
     assert "over the cap 1000" in err
 
 
+def test_memory_error_exits_3(capsys, monkeypatch):
+    """An allocation the machine refuses ends in one error line, not a
+    traceback, as seq --k 2 --limit 2**39 --max-elements 2**40 did."""
+
+    def exhaust(*args, **kwargs):
+        np.empty(1 << 58, dtype=np.int64)  # 2 EiB, past any address space
+
+    monkeypatch.setattr(cli, "term_range", exhaust)
+    code, out, err = run_cli(capsys, "seq", "--k", "2", "--limit", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    monkeypatch.setattr(cli, "term_range", lambda *a, **kw: (_ for _ in ()).throw(MemoryError()))
+    assert run_cli(capsys, "seq", "--k", "2", "--limit", "10") == (3, "", "error: out of memory\n")
+
+
+def test_plain_trace_text_is_capped(capsys, monkeypatch):
+    n = str(2**300 - 1)
+    code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace")
+    assert code == 0 and err == ""
+    monkeypatch.setattr(recurrence, "DEFAULT_ELEMENT_CAP", len(out) // 8 - 1)
+    code, out, err = run_cli(capsys, "reduce", "--n", n, "--trace")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the trace text would pass the cap of ")
+
+
 def test_seq_term_count_is_capped(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an engine ran before the cap check")

@@ -188,7 +188,9 @@ def test_power_layout_boundary(monkeypatch):
     assert brute_card(64, 8) == 64
     assert calls == ["sym_square"] * 3
     # a sweep sizes its fields for its limit; the cap stops it at power 3
-    for limit, path in [(7, []), (8, ["sym_prod"] * 3)]:
+    # the wide sweep multiplies S = H**m by the five classes Q_c with r > 1 for a(1) and a(3)
+    # and steps S by H once for a(2), as the key sweep does
+    for limit, path in [(7, []), (8, ["sym_prod"] * 11)]:
         calls.clear()
         with pytest.raises(SizeLimitError, match="reached 2780 elements, over the cap 100"):
             power_card_sequence(64, limit, max_elements=100)
@@ -204,6 +206,93 @@ def test_power_layout_boundary(monkeypatch):
     monkeypatch.undo()
     assert sym_power(64, 7) == iterated_powers(64, 7)[7]
     assert sym_power(64, 8).values() == [v**8 for v in range(1, 65)]
+
+
+def test_wide_layout_sweep_matches_oracles(monkeypatch):
+    """Past 63 bits the sweep steps SymSets through the same square classes.
+
+    k = 64 first needs more than 63 bits at limit 8 and k = 30 at limit
+    32.  k = 20 first does at limit 128, where a(125) is already over
+    the default cap, so its SymSet sweep is forced, as are k = 30 and 64
+    at smaller limits, against the set powers built one product at a time.
+    """
+    for k, limits in [(64, (8, 9)), (30, (33,))]:
+        brute = [brute_card(k, n) for n in range(max(limits) + 1)]
+        for limit in limits:
+            assert core._base_keys(make_base_set(k), limit) is None
+            assert power_card_sequence(k, limit) == brute[: limit + 1]
+    forced = [(20, 24), (30, 16), (64, 6)]
+    want = {k: [len(s) for s in iterated_powers(k, limit)] for k, limit in forced}
+    for k, limit in forced:
+        assert want[k] == [brute_card(k, n) for n in range(limit + 1)]
+    monkeypatch.setattr(core, "_base_keys", lambda base, n: None)
+    for k, limit in forced:
+        assert power_card_sequence(k, limit) == want[k]
+
+
+def unsliced(ka, kb):
+    """Keys hit an odd number of times by the sums ka[i] + kb[j], by counting."""
+    keys, counts = np.unique(np.add.outer(ka, kb), return_counts=True)
+    return keys[counts % 2 == 1]
+
+
+def sweep_products(limit):
+    """(ka, kb, unsliced result) of every kernel call that
+    power_card_sequence(k, limit) makes for k = 4..8."""
+    calls = []
+    kernel = core._toggle_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka, kb)) or kernel(ka, kb))
+        for k in range(4, 9):
+            power_card_sequence(k, limit)
+    return [(ka, kb, unsliced(ka, kb)) for ka, kb in calls]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_sliced_kernel_equals_unsliced_on_power_steps(monkeypatch, chunk):
+    """Every product of the sweeps of k = 4..8 up to n = 64, cut into
+    slices of about chunk sums.  A slice costs about 15 us however few
+    sums it holds, so chunks 1 and 7 stop at n = 32."""
+    steps = sweep_products(32 if chunk < 64 else 64)
+    assert max(ka.size * kb.size for ka, kb, _ in steps) > 50 * chunk
+    monkeypatch.setattr(core, "_CHUNK_KEYS", chunk)
+    for ka, kb, want in steps:
+        assert np.array_equal(core._toggle_sums(ka, kb), want)
+
+
+def test_sliced_kernel_on_random_keys(monkeypatch):
+    """Narrow key ranges make equal sums across copies, and every cut is
+    itself a sum, so sums equal to a cut point occur in every sliced call."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(30):
+        m, p, top = rng.integers(1, 80, size=3)
+        ka = np.unique(rng.integers(0, top, size=m))
+        kb = np.unique(rng.integers(0, top, size=p))
+        cases.append((ka, kb))
+        cases.append((kb, ka))
+    cases.append((np.arange(5), np.arange(300) * 3))  # len(kb) > len(ka)
+    cases.append((np.array([0, 2]), np.arange(1000)))
+    big = np.int64(1) << 61
+    cases.append((np.arange(40) + 2 * big, np.arange(30) * 5 + big))  # sums just below 2**63
+    for chunk in (1, 7, 64, 1000):
+        monkeypatch.setattr(core, "_CHUNK_KEYS", chunk)
+        for ka, kb in cases:
+            got = core._toggle_sums(ka, kb)
+            assert got.dtype == np.int64 and np.array_equal(got, unsliced(ka, kb))
+
+
+def test_products_of_large_sets_match_reference(monkeypatch):
+    """Both operands hold more than 512 elements; 338 400 pairs are one
+    slice, then 34."""
+    a = SymSet.from_values(8, sym_power(8, 15).values()[:600])
+    b = SymSet.from_values(8, sym_power(8, 23).values()[::4])
+    assert len(a) == 600 and len(b) == 564
+    want = ref_prod_values(a.values(), b.values())
+    for chunk in (core._CHUNK_KEYS, 10000):
+        monkeypatch.setattr(core, "_CHUNK_KEYS", chunk)
+        assert sym_prod(a, b).values() == want
+        assert sym_prod(b, a) == sym_prod(a, b)
 
 
 def test_element_cap_enforced(monkeypatch):

@@ -887,6 +887,21 @@ def test_trace_tree_size_is_capped(monkeypatch):
         trace._check_tree_size()
 
 
+def test_trace_text_size_is_capped(monkeypatch):
+    """to_text bounds its length before formatting: the text of an L-bit
+    index is quadratic in L, and past 8 * DEFAULT_ELEMENT_CAP characters
+    it raises without building any line."""
+    from symnabla import recurrence
+
+    _, trace = reduce_term(2**300 - 1, trace=True)
+    size = len(trace.to_text())
+    monkeypatch.setattr(recurrence, "DEFAULT_ELEMENT_CAP", size // 8 - 1)
+    with pytest.raises(SizeLimitError, match=f"the trace text would pass the cap of {8 * (size // 8 - 1)} characters"):
+        trace.to_text()
+    monkeypatch.setattr(recurrence, "DEFAULT_ELEMENT_CAP", size // 7)  # the bound is within 3 % of the size
+    assert len(trace.to_text()) == size
+
+
 def test_trace_rules_are_selected_once_per_node(monkeypatch):
     from symnabla import recurrence
 
