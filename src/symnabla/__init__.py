@@ -6,7 +6,8 @@ integer products with even-multiplicity cancellation): by building the
 sets (``brute_card``), by structural recurrences on the binary expansion
 of n (``fast_term`` / ``matrix_term`` / ``reduce_term``, with
 ``term_range``, ``matrix_term_range`` and ``reduce_term_range`` sweeping
-whole prefixes), and by chain censuses stepped with fixed transfer
+whole prefixes, in uint64 while the values fit in 64 bits and in Python
+ints beyond), and by chain censuses stepped with fixed transfer
 matrices (``verify_transfer``).
 For k in 1..4 the resulting sequences are catalogued in the OEIS and can
 be cross-checked against b-files (``symnabla.oeis``).

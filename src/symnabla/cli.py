@@ -71,8 +71,9 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 _CHUNK = 1 << 16  # rows per piece of vectorised output
 _TEXT_SLICE = 1 << 20  # characters per write of a long text
 
-# A nonnegative int64 x has 1 + searchsorted(_TENS, x, "right") digits.
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
+# A uint64 x has 1 + searchsorted(_TENS, x, "right") digits.  x must be
+# uint64 too: against int64 input, searchsorted compares in float64.
+_TENS = 10 ** np.arange(1, 20, dtype=np.uint64)
 # Byte i of a '<u8' word is its i-th character, on any host.  _KEEP[z]
 # has the bytes z..7 set: it keeps a word of 8 digits past z leading zeros.
 _KEEP = np.array([sum(1 << 8 * i for i in range(z, 8)) for z in range(9)], dtype="<u8")
@@ -83,7 +84,7 @@ _ASCII_ZEROS = np.uint64(0x3030303030303030)
 def _keep_rows(limbs: int) -> np.ndarray:
     """Row d - 1: the keep words of a d-digit value, right-aligned in
     limbs words of 8 digits."""
-    zeros = 8 * limbs - np.arange(1, 20)
+    zeros = 8 * limbs - np.arange(1, 21)
     return _KEEP[np.clip(zeros[:, None] - 8 * np.arange(limbs), 0, 8)]
 
 
@@ -99,16 +100,18 @@ def _lane_split(y: np.ndarray, q: np.ndarray, divisor: int, lane: int) -> np.nda
 
 
 def _digit_words(x: np.ndarray, limbs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The decimal digits of a nonnegative int64 array x, right-aligned
-    in a (rows, limbs) matrix of '<u8' words of 8 ASCII digits, most
-    significant first, and the matching keep words: every byte but the
-    leading zeros, and the last digit always, so 0 prints as 0.
+    """The decimal digits of an array x of integers in [0, 2**64),
+    right-aligned in a (rows, limbs) matrix of '<u8' words of 8 ASCII
+    digits, most significant first, and the matching keep words: every
+    byte but the leading zeros, and the last digit always, so 0 prints
+    as 0.
 
     Each base-10**8 limb becomes one word by SWAR: it is split 4|4
     digits into 32-bit lanes, then 2|2 into 16-bit lanes with
     (y * 10486) >> 20 for y // 100 (exact below 43699), then 1|1 into
     bytes with (y * 103) >> 10 for y // 10 (exact below 179)."""
     u = x.astype(np.uint64)
+    keep = _keep_rows(limbs).take(np.searchsorted(_TENS, u, side="right"), axis=0)
     y = np.empty((limbs, len(x)), dtype=np.uint64)  # one contiguous row per limb
     for j in range(limbs - 1):
         scale = np.uint64(10 ** (8 * (limbs - 1 - j)))
@@ -121,7 +124,7 @@ def _digit_words(x: np.ndarray, limbs: int) -> tuple[np.ndarray, np.ndarray]:
     q = (y * np.uint64(103) >> np.uint64(10)) & np.uint64(0x000F000F000F000F)
     y = _lane_split(y, q, 10, 8)
     y |= _ASCII_ZEROS
-    return y.T, _keep_rows(limbs).take(np.searchsorted(_TENS, x, side="right"), axis=0)
+    return y.T, keep
 
 
 def _word(text: bytes) -> int:
@@ -130,11 +133,12 @@ def _word(text: bytes) -> int:
 
 
 def _write_int64(values: np.ndarray, end: str, index_sep: str = "", join: bool = False) -> None:
-    """Write each value of a nonnegative int64 array in decimal and then
-    end, preceded by its index and index_sep when index_sep is given.
-    With join, end only separates values.  Each chunk of rows is laid
-    out as one (rows, words) matrix of '<u8' words: up to three words of
-    8 digits per number (``_digit_words``) and one word per separator.
+    """Write each value of an array of integers in [0, 2**64) in decimal
+    and then end, preceded by its index and index_sep when index_sep is
+    given.  With join, end only separates values.  Each chunk of rows is
+    laid out as one (rows, words) matrix of '<u8' words: up to three
+    words of 8 digits per number (``_digit_words``) and one word per
+    separator.
     A flat boolean index of its bytes by the keep words compacts it, so
     no str is made per value."""
     for lo in range(0, len(values), _CHUNK):
@@ -178,9 +182,11 @@ def _write_list(values: list, end: str, index_sep: str = "", join: bool = False)
 
 def _print_values(values, fmt: str, index: str, json_fields: dict) -> None:
     """Print a sequence indexed from 0, in the formats seq and sparse
-    share.  An int64 array (a sweep's output) goes through
-    ``_write_int64``; a list, whose values may be big ints, through
-    ``_write_list``, with the same bytes."""
+    share.  A uint64 array (a sweep's output) goes through
+    ``_write_int64``; a list or an object array, whose values may be big
+    ints, through ``_write_list``, with the same bytes."""
+    if isinstance(values, np.ndarray) and values.dtype == object:
+        values = values.tolist()
     write = _write_int64 if isinstance(values, np.ndarray) else _write_list
     if fmt == "plain":
         write(values, " ", join=True)
@@ -210,24 +216,16 @@ def _seq_values(k: int, limit: int, method: str, max_elements: int) -> list[int]
         )
     engine = resolve_method(k, method)
     if engine == "brute":
-        try:  # refuse a term over the cap before building any set
-            check_sequence_cap(k, term_range(k, limit), max_elements)
-        except DomainError:
-            pass  # k > 8, or the int64 guard tripped; the sets find the refusal
+        if k <= 8:  # refuse a term over the cap before building any set
+            check_sequence_cap(k, term_range(k, limit, max_elements=max_elements), max_elements)
         return power_card_sequence(k, limit, max_elements=max_elements)
-    try:
-        if method == "auto":
-            return term_range(k, limit)
-        if engine == "reduce":
-            return reduce_term_range(limit)
-        if engine == "matrix" and 4 <= k <= 8:
-            return matrix_term_range(limit, k)
-    except DomainError:
-        pass  # the int64 guard tripped; fall back to per-index calls
-    if method == "reduce":  # "auto" at k = 8 runs the plain word, no derivation
-        cache: dict[int, int] = {}
-        return [reduce_term(n, cache=cache) for n in range(limit + 1)]
-    return [term(k, n, engine, max_elements=max_elements) for n in range(limit + 1)]
+    if method == "auto":
+        return term_range(k, limit, max_elements=max_elements)
+    if engine == "reduce":
+        return reduce_term_range(limit, max_elements=max_elements)
+    if engine == "matrix":
+        return matrix_term_range(limit, k, max_elements=max_elements)
+    return [term(k, n, engine) for n in range(limit + 1)]  # the fast engine is per index
 
 
 def _sparse_values(k: int, count: int) -> list[int]:

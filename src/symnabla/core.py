@@ -596,7 +596,7 @@ def _square_classes(k: int) -> tuple[tuple[int, int], ...]:
 def check_sequence_cap(k: int, cards: np.ndarray, max_elements: int) -> None:
     """Raise, without building a set, the SizeLimitError that
     power_card_sequence(k, len(cards) - 1, max_elements=max_elements)
-    raises first, given its true values cards as an int64 array and a
+    raises first, given its true values cards as an array and a
     max_elements of at least 1.
 
     The sweep checks the cap on every reported a(n) in index order, and

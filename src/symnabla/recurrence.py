@@ -40,13 +40,14 @@ coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
   the full derivation, built in two passes over bit lengths, as a
   ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
-  0..limit, evaluated one bit length at a time on int64 arrays, since
-  every child has fewer bits than its parent.  Like
-  ``matrix_term_range``, it refuses limits whose values could wrap
-  int64;
+  0..limit, evaluated one bit length at a time on arrays, since every
+  child has fewer bits than its parent;
 * ``term_range(k, limit)`` for k in 1..8: the default sweep.  The
   value rules give every term of a doubling [lo, 2 lo - 1] from
-  earlier ones by a few strided int64 slices.
+  earlier ones by a few strided slices.
+
+The three sweeps run in int64, returned as uint64, while every value
+fits in 64 bits, and on Python ints beyond (``_sweep_array``).
 
 All matrix powers go through one kernel in ``chains`` that applies
 cached repeated squarings, so the cost grows with the number of runs
@@ -272,65 +273,68 @@ def matrix_term(n: int, k: int = 8) -> int:
     return sum(map(mul, cardinality_functional(k), matrix_state(n, k)))
 
 
-def _check_int64_sweep(limit: int, k: int, per_index: str) -> None:
-    """Refuse an int64 sweep over 0..limit that could wrap: a limit of L
-    bits passes while 32 * sparse_term(k, L) < 2**63.
+def _sweep_array(k: int, limit: int, max_elements: int) -> np.ndarray:
+    """An empty array for term(k, n), n in 0..limit, after refusing a
+    negative limit or more than max_elements terms: int64 while
+    sparse_term(k, L) < 2**64 for the limit's bit length L, dtype object
+    (Python ints) beyond.  A sweep returns it through ``_unsigned``.
 
-    Every value a(n) with n < 2**L is at most sparse_term(k, L), the
-    all-ones term of that length.  At k = 8 the matrix word proves it:
-    the step and squaring matrices, the initial state and the functional
-    are nonnegative, and the squaring matrix is entrywise at most the
-    step matrix, so turning 0-bits of n into 1-bits never lowers a state
-    component.  For k = 4..7 the step matrix has negative entries, and
-    the bound is checked on every n below 2**14 in the tests.
-
-    The three sweeps keep their intermediates below 32 * sparse_term(k, L).
-    A matrix-word state component counts elements or chains of the
-    power, so it is at most a(n); a step reads the parent's state, of
-    L - 1 bits, through a matrix row whose absolute values sum to at
-    most 18.  A rewriting rule or a value rule of ``term_range`` reads
-    children of fewer bits: a gap split's product is the value itself,
-    and the coefficients of each linear rule sum in absolute value to at
-    most 41 at k = 8 (suffix_011) and at most 9 below (the 11 rule at
-    k = 5).  So every partial sum is at most 41 * sparse(k, L - 1),
-    below 32 * sparse(k, L) since sparse(8, L) >= 6 * sparse(8, L - 1),
-    and at most 9 * sparse(k, L - 1) for k <= 7, where sparse grows by a
-    factor of at least 2 per bit.
+    The sweeps use only ring operations (+, - and * by integers or by
+    other values), which commute with reduction mod 2**64.  So an int64
+    sweep is exact mod 2**64 however often its intermediates wrap, and a
+    value below 2**64 is exact read as uint64.  Every a(n) with n < 2**L
+    is at most sparse_term(k, L), the all-ones term of that length.  For
+    k <= 7, a(n) is the product of the sparse terms of n's runs of ones
+    (``fast_term``), and the tests check that no runs fitting in L bits
+    beat one run of L ones.  At k = 8, a(n) = a(2n) lets n have exactly
+    L bits, and the chain word bounds it: the step and squaring matrices,
+    the initial state and the functional are nonnegative, and the
+    squaring matrix is entrywise at most the step matrix, so turning
+    0-bits of n into 1-bits never lowers a state component.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    bits = int(limit).bit_length()
-    if 32 * sparse_term(k, max(bits, 1)) >= 2**63:
-        raise DomainError(
-            f"values near 2**{bits} bits overflow the int64 sweep; "
-            f"call {per_index} per index instead"
+    if limit + 1 > max_elements:
+        raise SizeLimitError(
+            f"the sweep would hold {limit + 1} terms, over the cap {max_elements}"
         )
+    fixed = k == 1 or sparse_term(k, int(limit).bit_length()) < 2**64
+    return np.empty(limit + 1, dtype=np.int64 if fixed else object)
 
 
-def matrix_term_range(limit: int, k: int = 8) -> np.ndarray:
-    """term(k, n) for all n in 0..limit and k in 4..8, as an int64 array.
+def _unsigned(values: np.ndarray) -> np.ndarray:
+    """A finished sweep's values: the uint64 view of an int64 array."""
+    return values.view(np.uint64) if values.dtype == np.int64 else values
+
+
+def matrix_term_range(
+    limit: int, k: int = 8, *, max_elements: int = DEFAULT_ELEMENT_CAP
+) -> np.ndarray:
+    """term(k, n) for all n in 0..limit and k in 4..8, as a uint64 array
+    (an object array past 64 bits, ``_sweep_array``).
 
     A level-by-level dynamic program over the bit words: state(2m) and
-    state(2m+1) both derive from state(m).  A limit whose values could
-    wrap int64 is refused (``_check_int64_sweep``); use matrix_term per
-    index there.
+    state(2m+1) both derive from state(m).  Only the previous bit
+    length's states are kept; the next length's are their products with
+    the squaring and the step matrix, interleaved by strided slices.
     """
-    _check_int64_sweep(limit, k, "matrix_term")
-    step_t = np.array(transfer_matrix(k).rows, dtype=np.int64).T
-    square_t = np.array(squaring_matrix(k).rows, dtype=np.int64).T
-    initial = initial_vector(k)
-    states = np.zeros((limit + 1, len(initial)), dtype=np.int64)
-    states[0] = initial
-    level = 1
-    while level <= limit:
-        hi = min(2 * level - 1, limit)
-        idx = np.arange(level, hi + 1)
-        parents = states[idx >> 1]
-        odd = (idx & 1) == 1
-        states[idx[odd]] = parents[odd] @ step_t
-        states[idx[~odd]] = parents[~odd] @ square_t
-        level *= 2
-    return states @ np.array(cardinality_functional(k), dtype=np.int64)
+    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
+    values = _sweep_array(k, limit, max_elements)
+    step_t = np.array(step, dtype=values.dtype).T
+    square_t = np.array(square, dtype=values.dtype).T
+    functional = np.array(cardinality_functional(k), dtype=values.dtype)
+    initial = np.array([initial_vector(k)], dtype=values.dtype)
+    values[0] = (initial @ functional)[0]
+    states, lo = initial @ step_t, 1  # the states of lo..2 lo - 1, up to limit
+    while lo <= limit:
+        values[lo : lo + len(states)] = states @ functional
+        lo *= 2
+        parents = states[: max(limit - lo + 2, 0) // 2]
+        states = np.empty((2 * len(parents), len(step)), dtype=values.dtype)
+        states[0::2] = parents @ square_t
+        states[1::2] = parents @ step_t
+        states = states[: limit - lo + 1]
+    return _unsigned(values)
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +467,17 @@ def _level_rules(n: np.ndarray, length: int):
         yield rule, hit, _rule_children(rule, n[hit], i)
 
 
-def reduce_term_range(limit: int) -> np.ndarray:
-    """term(8, n) for all n in 0..limit by the rewriting system, as an
-    int64 array.
+def reduce_term_range(limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
+    """term(8, n) for all n in 0..limit by the rewriting system, as a
+    uint64 array (an object array past 64 bits, ``_sweep_array``).
 
     Every child has fewer bits than its parent, so the indices of bit
     length L, [2**(L-1), 2**L), read only values of earlier lengths and
     are evaluated together: ``_level_rules`` picks each index's rule and
     children with masks, and ``_combine`` applies the rule to the
-    gathered child values.  A limit whose values could wrap int64 is
-    refused (``_check_int64_sweep``); use reduce_term per index there.
+    gathered child values.
     """
-    _check_int64_sweep(limit, 8, "reduce_term")
-    values = np.empty(limit + 1, dtype=np.int64)
+    values = _sweep_array(8, limit, max_elements)
     length = 0
     while (1 << length) >> 1 <= limit:
         lo, hi = (1 << length) >> 1, min((1 << length) - 1, limit)
@@ -487,7 +489,7 @@ def reduce_term_range(limit: int) -> np.ndarray:
             else:
                 level[hit] = _combine(rule, None, tuple(values[c] for c in children))
         length += 1
-    return values
+    return _unsigned(values)
 
 
 @dataclass(frozen=True)
@@ -769,23 +771,21 @@ def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
     return _SPARSE_RECURRENCES[k][0], a0, a1
 
 
-def term_range(k: int, limit: int) -> np.ndarray:
-    """term(k, n) for all n in 0..limit and k in 1..8, as an int64 array.
+def term_range(k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
+    """term(k, n) for all n in 0..limit and k in 1..8, as a uint64 array
+    (an object array past 64 bits, ``_sweep_array``).
 
     Sweeps ``_value_rules`` from the one seed a(0) = 1, a doubling
     [lo, 2 lo - 1] at a time: every child of an index there lies below
     lo, so each rule is one strided-slice expression per doubling.
-    At k = 1 every term is 1.  A limit whose values could wrap int64 is
-    refused (``_check_int64_sweep``); use term per index there.
+    At k = 1 every term is 1.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"term_range covers k in 1..8, got {k}")
+    values = _sweep_array(k, limit, max_elements)
     if k == 1:
-        if limit < 0:
-            raise DomainError(f"limit must be >= 0, got {limit}")
-        return np.ones(limit + 1, dtype=np.int64)
-    _check_int64_sweep(limit, k, "term")
-    values = np.empty(limit + 1, dtype=np.int64)
+        values.fill(1)
+        return _unsigned(values)
     values[0] = _SPARSE_RECURRENCES[k][0][0]
     lo = 1
     while lo <= limit:
@@ -800,7 +800,7 @@ def term_range(k: int, limit: int) -> np.ndarray:
                 c * values[((m + 1) << t) - 1 :: 1 << t][:count] for c, t in children
             )
         lo *= 2
-    return values
+    return _unsigned(values)
 
 
 # ---------------------------------------------------------------------------

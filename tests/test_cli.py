@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 import symnabla
 from symnabla import cli, recurrence
 from symnabla.cli import build_parser, main
-from symnabla.errors import DomainError, SizeLimitError, TransportError
+from symnabla.errors import SizeLimitError, TransportError
 from symnabla.oeis import parse_bfile
 from symnabla.recurrence import (
     METHODS,
     fast_term,
     matrix_term,
     matrix_term_range,
-    reduce_term,
     sparse_term,
     sparse_terms,
     term_range,
@@ -156,57 +155,28 @@ def test_sparse_count_is_bounded_before_any_term(capsys, monkeypatch):
     assert (code, out) == (0, '{"k": 1, "values": []}\n')
 
 
-def test_seq_reduce_sweep_falls_back_per_index(capsys, monkeypatch):
-    swept = {}
-    for fmt in ("plain", "json"):
-        code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "600", "--method", "reduce", "--format", fmt)
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json", "bfile"])
+def test_seq_object_sweeps_print_as_fixed_width(capsys, monkeypatch, fmt):
+    """With the value bound patched past 2**64, every sweep runs on
+    Python ints, and every method prints the bytes of the fixed-width
+    run."""
+    cases = [(8, m, 600) for m in ("auto", "matrix", "reduce")] + [(8, "brute", 200)]
+    cases += [(7, m, 600) for m in ("auto", "fast", "matrix")] + [(k, "auto", 600) for k in range(2, 7)]
+    fixed = {}
+    for k, method, limit in cases:
+        argv = ("seq", "--k", str(k), "--limit", str(limit), "--method", method, "--format", fmt)
+        code, fixed[argv], _ = run_cli(capsys, *argv)
         assert code == 0
-        swept[fmt] = out
 
-    def refuse(limit):
-        raise DomainError("values overflow the int64 sweep")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value went per index or through the fixed-width writer")
 
-    monkeypatch.setattr(cli, "reduce_term_range", refuse)
-    for fmt in ("plain", "json"):
-        code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "600", "--method", "reduce", "--format", fmt)
-        assert (code, out) == (0, swept[fmt])
-    assert swept["plain"].split() == [str(matrix_term(n)) for n in range(601)]
-
-
-def test_seq_k8_auto_past_the_int64_guard_runs_the_plain_word(capsys, monkeypatch):
-    """Past the guard, seq falls back to one call per index.  With auto
-    at k = 8 that is the plain representation word, printed byte for
-    byte as the chain word prints it, and no call builds a derivation
-    through a shared cache; only --method reduce passes one."""
-    guard = recurrence._check_int64_sweep
-
-    def low_guard(limit, k, per_index):
-        if limit > 255:
-            raise DomainError("values overflow the int64 sweep")
-        guard(limit, k, per_index)
-
-    calls = []
-
-    def counted(n, **kwargs):
-        calls.append(kwargs)
-        return reduce_term(n, **kwargs)
-
-    monkeypatch.setattr(recurrence, "_check_int64_sweep", low_guard)
-    monkeypatch.setattr(recurrence, "reduce_term", counted)
-    monkeypatch.setattr(cli, "reduce_term", counted)
-    printed = {}
-    for fmt in ("plain", "csv", "json", "bfile"):
-        argv = ("seq", "--k", "8", "--limit", "600", "--format", fmt)
-        code, printed[fmt], _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert len(calls) == 601 and not any("cache" in kw for kw in calls), fmt
-        calls.clear()
-        code, out, _ = run_cli(capsys, *argv, "--method", "matrix")
-        assert (code, calls) == (0, [])
-        assert printed[fmt] == out.replace('"method": "matrix"', '"method": "auto"'), fmt
-    code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "600", "--method", "reduce")
-    assert (code, out) == (0, printed["plain"])
-    assert len(calls) == 601 and all("cache" in kw for kw in calls)
+    per_index = cli.term
+    monkeypatch.setattr(recurrence, "sparse_term", lambda k, t: 2**64)
+    monkeypatch.setattr(cli, "_write_int64", refuse)
+    monkeypatch.setattr(cli, "term", lambda k, n, method: per_index(k, n, method) if method == "fast" else refuse())
+    for argv, out in fixed.items():
+        assert run_cli(capsys, *argv) == (0, out, ""), argv
 
 
 def test_seq_plain_output_spans_several_slices(capsys):
@@ -221,11 +191,24 @@ def test_seq_sweeps_every_k_without_per_index_calls(capsys, monkeypatch):
         raise AssertionError("seq fell back to per-index calls")
 
     monkeypatch.setattr(cli, "term", refuse)
+    monkeypatch.setattr(cli, "reduce_term", refuse)
     for k in range(1, 9):
         code, out, err = run_cli(capsys, "seq", "--k", str(k), "--limit", "1000")
         assert (code, err) == (0, "")
         reference = matrix_term if k == 8 else (lambda n: fast_term(k, n))
         assert out.split() == [str(reference(n)) for n in range(1001)]
+    # 23-bit limits at k = 7 and 8, for every sweep
+    limit = 2**22 + 1
+    for k in (7, 8):
+        reference = matrix_term if k == 8 else (lambda n: fast_term(k, n))
+        tail = [str(sparse_term(k, 22)), str(reference(2**22)), str(reference(limit))]
+        first = None
+        for method in ("auto", "matrix", "reduce")[: 3 if k == 8 else 2]:
+            code, out, err = run_cli(capsys, "seq", "--k", str(k), "--limit", str(limit), "--method", method)
+            assert (code, err) == (0, "")
+            first = first or out
+            assert out == first, (k, method)
+        assert first.count(" ") == limit and first[-100:].split()[-3:] == tail
 
 
 def _printed(values, fmt):
@@ -235,33 +218,36 @@ def _printed(values, fmt):
     return buf.getvalue()
 
 
-# every digit count from 1 to 19, with 10**j - 1, 10**j, 10**j + 1 and 2**63 - 1
-CRAFTED = np.array([10**j + d for j in range(19) for d in (-1, 0, 1)] + [2**63 - 1], dtype=np.int64)
+# every digit count from 1 to 20, with 10**j - 1, 10**j, 10**j + 1,
+# 2**63 - 1, 2**63 and 2**64 - 1
+CRAFTED = np.array(
+    [10**j + d for j in range(20) for d in (-1, 0, 1)] + [2**63 - 1, 2**63, 2**64 - 1], dtype=np.uint64
+)
 
 
 def _mixed_widths(rows):
-    """One chunk's rows cycling through 1, 8, 9, 16, 17 and 19 digits: one
-    and two words of 8 digits, full and with a digit over, and three
-    words, the most an int64 needs."""
+    """One chunk's rows cycling through 1, 8, 9, 16, 17, 19 and 20 digits:
+    one and two words of 8 digits, full and with a digit over, and three
+    words, the most a uint64 needs."""
     rng = np.random.default_rng(7)
-    lows = [0, 10**7, 10**8, 10**15, 10**16, 10**18]
-    highs = [10, 10**8, 10**9, 10**16, 10**17, 2**63]
-    digits = np.resize(np.arange(6), rows)
-    return rng.integers(np.take(lows, digits), np.take(highs, digits), dtype=np.int64)
+    lows = np.array([0, 10**7, 10**8, 10**15, 10**16, 10**18, 10**19], dtype=np.uint64)
+    highs = np.array([10, 10**8, 10**9, 10**16, 10**17, 10**19, 2**64 - 1], dtype=np.uint64)
+    digits = np.resize(np.arange(7), rows)
+    return rng.integers(lows[digits], highs[digits], dtype=np.uint64)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json", "bfile"])
 def test_int64_writer_equals_the_str_path(fmt):
-    assert {len(str(v)) for v in CRAFTED.tolist()} == set(range(1, 20))
+    assert {len(str(v)) for v in CRAFTED.tolist()} == set(range(1, 21))
     limits = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5)  # around the writer's chunks
     arrays = [term_range(8, limit) for limit in limits]
-    arrays += [CRAFTED, CRAFTED[::-1], np.array([], dtype=np.int64)]
+    arrays += [CRAFTED, CRAFTED[::-1], np.array([], dtype=np.uint64)]
     mixed = _mixed_widths(2**16)
-    assert [len(str(v)) for v in mixed[:12].tolist()] == [1, 8, 9, 16, 17, 19] * 2
+    assert [len(str(v)) for v in mixed[:14].tolist()] == [1, 8, 9, 16, 17, 19, 20] * 2
     # a seeded sample of every bit length, so every digit count
     rng = np.random.default_rng(20261018)
-    sample = rng.integers(0, 2**63 - 1, 5000, dtype=np.int64) >> rng.integers(0, 64, 5000)
-    assert {int(v).bit_length() for v in sample.tolist()} == set(range(64))
+    sample = rng.integers(0, 2**64, 5000, dtype=np.uint64) >> rng.integers(0, 64, 5000, dtype=np.uint64)
+    assert {int(v).bit_length() for v in sample.tolist()} == set(range(65))
     arrays += [mixed, sample]
     if fmt in ("csv", "bfile"):  # the index gets wider between chunks, past 10**5 and 10**6
         arrays.append(term_range(8, 10**6 + 3))
@@ -632,9 +618,10 @@ def test_seq_brute_refuses_before_building_sets(capsys, monkeypatch):
         assert err == f"error: symmetric power reached {size} elements, over the cap 16777216\n"
     code, _, err = run_cli(capsys, "seq", "--k", "8", "--limit", "40", "--method", "brute", "--max-elements", "300")
     assert code == 3 and err == "error: symmetric power reached 368 elements, over the cap 300\n"
-    # past the int64 guard of term_range the sets alone find the refusal
-    with pytest.raises(AssertionError, match="a set was built"):
-        main(["seq", "--k", "8", "--limit", str(2**22), "--method", "brute"])
+    # term_range sweeps any limit the cap admits, so no set is built here either
+    code, out, err = run_cli(capsys, "seq", "--k", "8", "--limit", str(2**22), "--method", "brute")
+    assert (code, out) == (3, "")
+    assert err == "error: symmetric power reached 17570128 elements, over the cap 16777216\n"
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "seq", "--k", "8", "--limit", "40", "--method", "brute")
     assert code == 0 and out.split() == [str(v) for v in term_range(8, 40).tolist()]

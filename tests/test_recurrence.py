@@ -24,7 +24,6 @@ from symnabla.chains import (
 from symnabla.core import brute_card, power_card_sequence
 from symnabla.errors import DomainError, SizeLimitError
 from symnabla.recurrence import (
-    _RULE_COEFFS,
     CORE_RULES,
     OPTIONAL_RULES,
     ReductionTrace,
@@ -337,30 +336,13 @@ def test_matrix_term_matches_brute():
 
 def test_matrix_term_range_agrees_with_scalar():
     arr = matrix_term_range(2048)
-    assert arr.dtype == np.int64
+    assert arr.dtype == np.uint64
     assert len(arr) == 2049
     assert [int(x) for x in arr] == [matrix_term(n) for n in range(2049)]
     for k in (4, 5, 6, 7):
         scalar = [matrix_term(n, k) for n in range(2049)]
         assert [int(x) for x in matrix_term_range(2048, k)] == scalar
         assert scalar == [fast_term(k, n) for n in range(2049)]
-
-
-def test_matrix_term_range_overflow_guard():
-    # values stay exact up to 22-bit indices, then the sweep refuses
-    arr = matrix_term_range((1 << 22) - 1)
-    assert int(arr[-1]) == sparse_term(8, 22)
-    with pytest.raises(DomainError):
-        matrix_term_range(1 << 23)
-    with pytest.raises(DomainError):
-        matrix_term_range(-1)
-    # the guard is per k: k = 7 refuses 23 bits, k = 4 only 35
-    with pytest.raises(DomainError):
-        matrix_term_range(1 << 22, 7)
-    with pytest.raises(DomainError):
-        matrix_term_range(1 << 34, 4)
-    with pytest.raises(DomainError):
-        matrix_term_range(8, 3)
 
 
 def _word_row(k, bits):
@@ -411,24 +393,71 @@ def test_term_range_equals_the_other_engines():
         assert term_range(8, limit).tolist() == [matrix_term(n) for n in range(limit + 1)]
 
 
-def test_term_range_overflow_guard():
-    # the guard of the other sweeps: exact to 22-bit indices at k = 8
-    arr = term_range(8, (1 << 22) - 1)
-    assert int(arr[-1]) == sparse_term(8, 22)
-    sample = random.Random(22).sample(range(1 << 22), 200)
-    assert [int(arr[n]) for n in sample] == [matrix_term(n) for n in sample]
-    with pytest.raises(DomainError, match="term per index"):
-        term_range(8, 1 << 22)
-    with pytest.raises(DomainError, match="term per index"):
-        term_range(4, 1 << 34)
+def test_sweeps_are_exact_across_23_bits():
+    """Every sweep is exact at 23 bits, one past the 22 of the 2**22-term
+    tests, and at 24 bits k = 7's top values pass 2**63: int64 wraps
+    them, and the uint64 view reads them exactly."""
+    limit = (1 << 23) - 1
+    sample = random.Random(23).sample(range(limit + 1), 300)
+    for k in (7, 8):
+        swept = term_range(k, limit)
+        assert swept.dtype == np.uint64 and int(swept[-1]) == sparse_term(k, 23)
+        assert [int(swept[n]) for n in sample] == [term(k, n) for n in sample]
+        assert (matrix_term_range(limit, k) == swept).all()
+        if k == 8:
+            assert (reduce_term_range(limit) == swept).all()
+    swept = term_range(7, (1 << 24) - 1)
+    assert int(swept[-1]) == sparse_term(7, 24) >= 2**63
+    sample = random.Random(24).sample(range(1 << 23, 1 << 24), 300)
+    assert [int(swept[n]) for n in sample] == [fast_term(7, n) for n in sample]
+
+
+SWEEPS8 = (
+    lambda limit, **kw: term_range(8, limit, **kw),
+    lambda limit, **kw: matrix_term_range(limit, 8, **kw),
+    reduce_term_range,
+)
+
+
+def test_sweeps_refuse_bad_limits_and_the_cap():
+    for sweep in SWEEPS8:
+        with pytest.raises(DomainError, match="must be >= 0"):
+            sweep(-1)
+        # the cap refuses a sweep before it allocates
+        with pytest.raises(SizeLimitError, match="17179869185 terms, over the cap 16777216"):
+            sweep(1 << 34)
+        with pytest.raises(SizeLimitError, match="101 terms, over the cap 100"):
+            sweep(100, max_elements=100)
+        assert len(sweep(99, max_elements=100)) == 100
     for k in (1, 2, 8):
         with pytest.raises(DomainError, match="must be >= 0"):
             term_range(k, -1)
     for k in (0, 9):
         with pytest.raises(DomainError, match="k in 1..8"):
             term_range(k, 5)
-    # k = 1 needs no guard: every term is 1
+    for k in (3, 9):
+        with pytest.raises(DomainError):
+            matrix_term_range(8, k)
     assert term_range(1, 2**20).tolist() == [1] * (2**20 + 1)
+
+
+def test_sweep_width_follows_the_value_bound(monkeypatch):
+    from symnabla import recurrence
+
+    # a limit of L bits sweeps in int64 while sparse_term(k, L) < 2**64:
+    # the first L past it, as the README lists them
+    first_wide = {2: 64, 3: 41, 4: 38, 5: 30, 6: 28, 7: 25, 8: 25}
+    for k, bits in first_wide.items():
+        assert sparse_term(k, bits - 1) < 2**64 <= sparse_term(k, bits)
+    # with the bound patched to pass 2**64 at 10 bits, 512 is the first
+    # limit on Python ints
+    real = recurrence.sparse_term
+    monkeypatch.setattr(recurrence, "sparse_term", lambda k, t: 2**64 if t >= 10 else real(k, t))
+    expected = [term(8, n) for n in range(513)]
+    for sweep in SWEEPS8:
+        assert sweep(511).dtype == np.uint64
+        wide = sweep(512)
+        assert wide.dtype == object and wide.tolist() == expected
 
 
 def test_doubling_invariance():
@@ -532,7 +561,7 @@ def test_reduce_sweep_equals_per_index_rewriting():
     for limit in (0, 1, 2, 3, 2**17):
         cache = {}
         got = reduce_term_range(limit)
-        assert got.dtype == np.int64 and len(got) == limit + 1
+        assert got.dtype == np.uint64 and len(got) == limit + 1
         assert got.tolist() == [reduce_term(n, cache=cache) for n in range(limit + 1)], limit
 
 
@@ -545,17 +574,6 @@ def test_reduce_sweep_runs_without_numpy2_functions(monkeypatch):
 
 def test_reduce_sweep_equals_the_matrix_sweep():
     assert (reduce_term_range(10**6) == matrix_term_range(10**6)).all()
-
-
-def test_reduce_sweep_overflow_guard():
-    # the same guard as the matrix sweep: exact to 22-bit indices, then refused
-    arr = reduce_term_range((1 << 22) - 1)
-    assert int(arr[-1]) == sparse_term(8, 22)
-    assert int(arr[(1 << 22) - 2]) == reduce_term((1 << 22) - 2)
-    with pytest.raises(DomainError, match="reduce_term per index"):
-        reduce_term_range(1 << 22)
-    with pytest.raises(DomainError):
-        reduce_term_range(-1)
 
 
 def reduce_depth_first(n, *, trace=False, optional_rules=False, cache=None):
@@ -713,37 +731,28 @@ def test_block_111_fires_only_at_bit_0():
 
 
 def test_int64_guard_bounds_hold():
-    """The facts the int64 guard rests on: every state component and
-    value below 2**14 is at most the all-ones term of its bit length, the
-    all-ones terms grow by 6 per bit at k = 8, by 3 for k = 4..7 and by
-    2 below, and the step rows, the core linear rules and the value
-    rules keep their absolute sums to 18, 41 and 41."""
-    for k in (4, 5, 6, 7, 8):
-        step = np.array(transfer_matrix(k).rows, dtype=np.int64)
-        square = np.array(squaring_matrix(k).rows, dtype=np.int64)
-        states = np.zeros((1 << 14, len(step)), dtype=np.int64)
-        states[0] = initial_vector(k)
-        idx = np.arange(1, 1 << 14)
-        for length in range(1, 15):
-            level = idx[(idx >> (length - 1)) == 1]
-            parents = states[level >> 1]
-            odd = (level & 1) == 1
-            states[level[odd]] = parents[odd] @ step.T
-            states[level[~odd]] = parents[~odd] @ square.T
-            bound = sparse_term(k, length)
-            assert 0 <= states[level].min() and states[level].max() <= bound
-            assert (states[level] @ np.array(cardinality_functional(k))).max() <= bound
-        assert np.abs(step).sum(axis=1).max() <= 18
-        growth = 6 if k == 8 else 3
-        assert all(sparse_term(k, t) >= growth * sparse_term(k, t - 1) for t in range(1, 60))
-    assert max(sum(map(abs, _RULE_COEFFS.get(rule, ()))) for rule in CORE_RULES) == 41
-    # term_range's value rules: the same 41 at k = 8, at most 9 below,
-    # where the all-ones terms at least double per bit
-    sums = {k: max(sum(abs(c) for c, _ in children) for _, children in _value_rules(k)) for k in range(2, 9)}
-    assert sums[8] == 41 and max(sums[k] for k in range(2, 8)) == 9
-    for k in (2, 3):
-        assert all(sparse_term(k, t) >= 2 * sparse_term(k, t - 1) for t in range(1, 60))
-        assert all(v <= sparse_term(k, n.bit_length()) for n, v in enumerate(term_range(k, 1 << 14).tolist()))
+    """The bound behind the sweeps' choice of int64: a(n) is at most
+    sparse_term(k, L) for every n < 2**L.
+
+    For k <= 7, a(n) is the product of the sparse terms of n's maximal
+    runs of ones, so the largest a(n) below 2**L is the largest product
+    over run lengths l_1, ..., l_r with l_1 + ... + l_r + r - 1 <= L.  A
+    dynamic program over L finds it exactly: the top run has some length
+    l, and the bits below it and its zero hold L - l - 1 more.  At k = 8
+    the chain word bounds it (``_sweep_array``)."""
+    for k in range(2, 8):
+        sparse = list(islice(sparse_terms(k), 70))
+        best = [1]  # best[L]: the largest a(n) over n < 2**L
+        for length in range(1, 70):
+            best.append(max(sparse[l] * best[max(length - l - 1, 0)] for l in range(1, length + 1)))
+        assert best == sparse, k
+    step, square = transfer_matrix(8).rows, squaring_matrix(8).rows
+    assert min(map(min, step + square)) >= 0
+    assert min(initial_vector(8)) >= 0 and min(cardinality_functional(8)) >= 0
+    assert all(q <= s for q_row, s_row in zip(square, step) for q, s in zip(q_row, s_row))
+    for k in range(2, 9):
+        values = term_range(k, (1 << 14) - 1).tolist()
+        assert all(v <= sparse_term(k, n.bit_length()) for n, v in enumerate(values)), k
 
 
 def test_trace_for_27():
