@@ -40,12 +40,15 @@ element cap and raise SizeLimitError instead of exhausting memory.
 The dense sweep ``power_card_sequence`` uses the ring's characteristic
 2 twice.  With H = {1, ..., k} and S = H**m, H**(2m) is S with every
 element squared, so a(2m) = |S|.  And H**(2m+1) is the sum over the
-square-free c of c * (S * Q_c)**2, with Q_c = {q : c * q**2 <= k}; the
-classes never cancel one another, so a(2m+1) = sum over c of |S * Q_c|,
-at k = 8 equal to 4|S| + 2|S * {1, 2}|.  The sweep therefore builds only
-the powers up to limit/2, as keys or, past 63 bits, as SymSets.
-``brute_card`` and ``sym_power`` stay plain square-and-multiply on
-sets, the independent oracle.
+square-free c of c * (S * Q_r)**2, with Q_r = {1, ..., r} and
+r = isqrt(k // c); the classes never cancel one another, so
+a(2m+1) = sum over c of |S * Q_r|, at k = 8 equal to
+4|S| + 2|S * {1, 2}|.  The sweep builds only the powers up to limit/2,
+each from its half: H**(2m) by doubling S, H**(2m+1) by one sort of
+the class products it already formed to count a(2m+1), so it never
+multiplies by the base set.  It walks them depth first, as keys or,
+past 63 bits, as SymSets.  ``brute_card`` and ``sym_power`` stay plain
+square-and-multiply on sets, the independent oracle.
 
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
@@ -579,18 +582,45 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
 
 
 @lru_cache(maxsize=None)
+def _square_free(k: int) -> tuple[tuple[int, int], ...]:
+    """(c, r) for every square-free c <= k, c ascending, r = isqrt(k // c).
+
+    Every h <= k is c * q**2 for exactly one square-free c, and the h of
+    c's class are those with q in Q_r = {1, ..., r}.
+    """
+    return tuple(
+        (c, isqrt(k // c))
+        for c in range(1, k + 1)
+        if all(c % (d * d) for d in range(2, isqrt(c) + 1))
+    )
+
+
+@lru_cache(maxsize=None)
 def _square_classes(k: int) -> tuple[tuple[int, int], ...]:
     """The square classes of {1, ..., k} as (r, count) pairs, r ascending.
 
-    Every h <= k is c * q**2 for exactly one square-free c.  The class
-    of c holds the h with q in {1, ..., r}, r = isqrt(k // c), and count
-    is the number of square-free c <= k with that r.  At k = 8 this is
-    ((1, 4), (2, 2)): the classes of 3, 5, 6, 7 and of 1, 2.
+    count is the number of square-free c <= k whose class is c * Q_r
+    (``_square_free``).  At k = 8 this is ((1, 4), (2, 2)): the classes
+    of 3, 5, 6, 7 and of 1, 2.
     """
-    square_free = (
-        c for c in range(1, k + 1) if all(c % (d * d) for d in range(2, isqrt(c) + 1))
-    )
-    return tuple(sorted(Counter(isqrt(k // c) for c in square_free).items()))
+    return tuple(sorted(Counter(r for _, r in _square_free(k)).items()))
+
+
+def _doubled_union(parts) -> np.ndarray:
+    """2 * p + c for every (c, p) in parts, stacked in one new array.
+
+    Each piece is written in place into one buffer: concatenating
+    temporaries instead raised the sweep's peak RSS by about 2 MB at
+    (8, 255) once other set work had run in the same process.
+    """
+    out = np.empty((sum(len(p) for _, p in parts),) + parts[0][1].shape[1:], dtype=np.int64)
+    end = 0
+    for c, p in parts:
+        piece = out[end : end + len(p)]
+        np.multiply(p, 2, out=piece)
+        piece += c
+        end += len(p)
+    return out
 
 
 def check_sequence_cap(k: int, cards: np.ndarray, max_elements: int) -> None:
@@ -599,11 +629,11 @@ def check_sequence_cap(k: int, cards: np.ndarray, max_elements: int) -> None:
     raises first, given its true values cards as an array and a
     max_elements of at least 1.
 
-    The sweep checks the cap on every reported a(n) in index order, and
-    each product it forms multiplies a power already within the cap by
-    at most k elements.  So while max_elements * k stays within the pair
-    guard, its first refusal is the first a(n) over the cap.  Past that
-    this check passes, and the sweep finds its own refusal.
+    The sweep refuses with the first a(n) over the cap in index order,
+    and each product it forms multiplies a power already within the cap
+    by Q_r, which has r <= k elements.  So while max_elements * k stays
+    within the pair guard, its refusal is the first a(n) over the cap.
+    Past that this check passes, and the sweep finds its own refusal.
     """
     if max_elements * k > _PAIR_GUARD:
         return
@@ -621,45 +651,76 @@ def power_card_sequence(
     ring has characteristic 2, so H**(2m) is the elementwise square of
     S = H**m and a(2m) = |S|.  Also H**(2m+1) = sum over h of h * S**2;
     writing h = c * q**2 with c square-free, the terms of one class sum
-    to c * (S * Q_c)**2 with Q_c = {q : c * q**2 <= k}, and different
-    classes never cancel, because c is the square-free part of every
-    element c * x**2.  Hence a(2m+1) = sum over c of |S * Q_c|, which at
-    k = 8 is 4|S| + 2|S * {1, 2}|.
+    to c * P_r**2 with P_r = S * Q_r, Q_r = {1, ..., r} and
+    r = isqrt(k // c), and different classes never cancel, because c is
+    the square-free part of every element c * x**2.  Hence
+    a(2m+1) = sum over c of |P_r|, which at k = 8 is 4|S| + 2|S * {1, 2}|.
 
-    The sweep steps S = H**m for m <= limit/2 only, reports a(2m) and
-    a(2m+1) from it, and checks the element cap on every reported
-    cardinality in index order.  Every set it holds is no larger than
-    some reported a(n).  S is sorted int64 keys, whose fields are sized
-    for power limit, multiplied by _times_keys; when that layout needs
-    more than 63 bits, S is a SymSet multiplied by sym_prod, along the
-    same steps.
+    No power is stepped by the base set: the products P_r, one per
+    distinct r > 1 (P_1 is S), count a(2m+1) and also build the next
+    powers.  H**(2m) is S with every key doubled, and H**(2m+1) is the
+    disjoint union of the c * P_r**2, one sort of the doubled keys of
+    P_r plus the key of c.  The powers m <= limit/2 are walked depth
+    first from m = 0, a node's even child before its odd one, so about
+    one power per bit length is pending.  A node keeps its P_r only
+    when H**(2m+1) is a node too.
+
+    No power over the cap is built, and a node whose indices lie past
+    the first a(n) over the cap found so far is skipped.  After the walk
+    the first a(n) over the cap in index order is refused.  S is sorted
+    int64 keys, whose fields are sized for power limit, multiplied by
+    _times_keys; when that layout needs more than 63 bits, S is a
+    SymSet, squared by sym_square and multiplied by sym_prod, along the
+    same walk.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    base = make_base_set(k)
-    packed = _base_keys(base, limit)
+    packed = _base_keys(make_base_set(k), limit)
     if packed is None:
-        power, times, pack = SymSet.from_values(k, [1]), sym_prod, lambda s: s
+        pack, times, square = (lambda s: s), sym_prod, sym_square
+
+        def odd_power(parts):
+            rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
+            return SymSet(k, _canonical(rows), _internal=True)
+
     else:
         shifts = _field_shifts(packed[1])[0]
-        power, times = np.zeros(1, dtype=np.int64), _times_keys
-        pack = lambda s: _pack(s.exponents, shifts)
-    # Q_c = {1, ..., r} in the power's form, or None for r = 1, where S * Q_c is S
-    classes = [
-        (count, pack(SymSet.from_values(k, range(1, r + 1))) if r > 1 else None)
-        for r, count in _square_classes(k)
-    ]
-    base = pack(base)
-    cards = []
-    for n in range(limit + 1):
-        if n % 2:
-            card = sum(
-                count * len(power if q is None else times(power, q)) for count, q in classes
-            )
-        else:
-            if n:
-                power = times(power, base)
-            card = len(power)
-        _check_cap(card, max_elements)
-        cards.append(card)
+        pack, times, square = (lambda s: _pack(s.exponents, shifts)), _times_keys, (lambda s: s * 2)
+
+        def odd_power(parts):
+            keys = _doubled_union(parts)
+            keys.sort(kind="stable")  # one sorted run per class
+            return keys
+
+    classes = [(pack(SymSet.from_values(k, [c])), r) for c, r in _square_free(k)]
+    factors = {r: pack(SymSet.from_values(k, range(1, r + 1))) for r, _ in _square_classes(k)}
+    cards = [0] * (limit + 1)
+    over = limit + 1  # the first index found over the cap
+    stack = [(0, factors[1])]  # H**0 = Q_1 = {1}
+    while stack:
+        m, power = stack.pop()
+        if 2 * m > over:
+            continue
+        cards[2 * m] = len(power)
+        if cards[2 * m] > max_elements:
+            over = min(over, 2 * m)
+        if 2 * m + 1 < min(over, limit + 1):
+            keep = 2 * m + 1 <= limit // 2
+            card, parts = 0, {}
+            for r, count in _square_classes(k):
+                part = times(power, factors[r]) if r > 1 else power
+                card += count * len(part)
+                if keep:
+                    parts[r] = part
+                del part
+            cards[2 * m + 1] = card
+            if card > max_elements:
+                over = min(over, 2 * m + 1)
+            elif keep:
+                stack.append((2 * m + 1, odd_power([(c, parts[r]) for c, r in classes])))
+            del parts
+        if 0 < 2 * m <= limit // 2:
+            stack.append((2 * m, square(power)))
+    if over <= limit:
+        _check_cap(cards[over], max_elements)
     return cards

@@ -27,9 +27,10 @@ coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
   A power of the squaring matrix (g zeros in a row: g = 2 at k = 8,
   1 below) is the rank-one projector onto the initial state, so the
   word is cut at such gaps into blocks whose values multiply
-  (``_word_state``).  Inside a block, a zero and the run of L < 64 ones
-  after it are one cached matrix (``_run_matrix``), and a longer run
-  is the step matrix to the power L.  These are the matrices
+  (``_word_state``).  Inside a block, a leading run of L < 64 ones is
+  one cached vector (``_run_vector``), a zero and the run of L < 64
+  ones after it are one cached matrix (``_run_matrix``), and a longer
+  run is the step matrix to the power L.  These are the matrices
   verify_transfer replays against sets, so they cross-check the
   representation (``term(k, n, "matrix")``);
 * ``reduce_term(n)`` for k = 8: a rewriting system on binary expansions
@@ -206,7 +207,8 @@ def _gap_width(square, initial: tuple[int, ...], functional: tuple[int, ...]) ->
     return next(g for g in range(1, len(square) + 1) if mat_pow(square, g) == projector)
 
 
-# Runs of ones shorter than this after a zero are one cached matrix
+# Runs of ones shorter than this are one cached vector at the head of a
+# block (``_run_vector``) and one cached matrix after a zero
 # (``_run_matrix``); longer runs go through repeated squaring, where the
 # big-int products outweigh the per-matrix Python calls.
 _RUN_TABLE = 64
@@ -221,12 +223,24 @@ def _run_matrix(step, square, length: int) -> tuple[tuple[int, ...], ...]:
     return mat_mul(step, _run_matrix(step, square, length - 1))
 
 
+@cache
+def _run_vector(step, initial: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """step**length . initial: a block's leading run of length ones,
+    built from the run one shorter."""
+    if length == 0:
+        return initial
+    return mat_vec(step, _run_vector(step, initial, length - 1))
+
+
 def _block_state(block: str, step, square, initial: tuple[int, ...]) -> tuple[int, ...]:
     """The state of one block's bit word: step**L for a run of L ones,
-    the squaring matrix at each zero.  A zero and the run of L < 64 ones
-    after it are one matrix-vector product with ``_run_matrix``."""
+    the squaring matrix at each zero.  A leading run of L < 64 ones is
+    one cached vector (``_run_vector``), and a zero and the run of
+    L < 64 ones after it are one matrix-vector product with
+    ``_run_matrix``."""
     runs = block.split("0")
-    v = _pow_vec(step, len(runs[0]), initial)
+    lead = len(runs[0])
+    v = _run_vector(step, initial, lead) if lead < _RUN_TABLE else _pow_vec(step, lead, initial)
     for run in runs[1:]:
         if len(run) < _RUN_TABLE:
             v = mat_vec(_run_matrix(step, square, len(run)), v)
@@ -245,9 +259,10 @@ def _word_state(n: int, initial, step, square, functional) -> tuple[int, ...]:
     next block, and empty blocks of value 1).  Every block but the last
     contributes the scalar functional . state(block), and the last
     block's state is scaled by their product, taken in a balanced tree.
-    Inside a block (``_block_state``) a zero and the run of L ones after
-    it are one matrix, and only a leading run or one of 64 ones or more
-    goes through repeated squaring.  Equal blocks are evaluated once.
+    Inside a block (``_block_state``) a leading run of L ones is one
+    cached vector, a zero and the run of L ones after it are one cached
+    matrix, and only a run of 64 ones or more goes through repeated
+    squaring.  Equal blocks are evaluated once.
     """
     *head, last = bin(n)[2:].split("0" * _gap_width(square, initial, functional))
     scale = _product(
@@ -317,6 +332,8 @@ def matrix_term_range(
     state(2m+1) both derive from state(m).  Only the previous bit
     length's states are kept; the next length's are their products with
     the squaring and the step matrix, interleaved by strided slices.
+    The last bit length needs only values, so its parents' states are
+    multiplied by square_t @ functional and step_t @ functional instead.
     """
     step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
     values = _sweep_array(k, limit, max_elements)
@@ -325,15 +342,21 @@ def matrix_term_range(
     functional = np.array(cardinality_functional(k), dtype=values.dtype)
     initial = np.array([initial_vector(k)], dtype=values.dtype)
     values[0] = (initial @ functional)[0]
-    states, lo = initial @ step_t, 1  # the states of lo..2 lo - 1, up to limit
-    while lo <= limit:
-        values[lo : lo + len(states)] = states @ functional
-        lo *= 2
-        parents = states[: max(limit - lo + 2, 0) // 2]
+    states, lo = initial @ step_t, 1  # the states of lo..2 lo - 1
+    while 4 * lo <= limit:
+        values[lo : 2 * lo] = states @ functional
+        parents = states
         states = np.empty((2 * len(parents), len(step)), dtype=values.dtype)
         states[0::2] = parents @ square_t
         states[1::2] = parents @ step_t
-        states = states[: limit - lo + 1]
+        lo *= 2
+    values[lo : 2 * lo] = (states @ functional)[: limit + 1 - lo]
+    if 2 * lo <= limit:
+        # the last bit length, 2 lo..limit, is read off its parents' states
+        # without building its own
+        last = 2 * lo
+        values[last::2] = states[: (limit - last + 2) // 2] @ (square_t @ functional)
+        values[last + 1 :: 2] = states[: (limit - last + 1) // 2] @ (step_t @ functional)
     return _unsigned(values)
 
 

@@ -188,9 +188,9 @@ def test_power_layout_boundary(monkeypatch):
     assert brute_card(64, 8) == 64
     assert calls == ["sym_square"] * 3
     # a sweep sizes its fields for its limit; the cap stops it at power 3
-    # the wide sweep multiplies S = H**m by the five classes Q_c with r > 1 for a(1) and a(3)
-    # and steps S by H once for a(2), as the key sweep does
-    for limit, path in [(7, []), (8, ["sym_prod"] * 11)]:
+    # the wide sweep multiplies S = H**m by the five Q_r with r > 1 for a(1) and a(3),
+    # then squares H**1 into H**2, a node that it skips, as the key sweep does
+    for limit, path in [(7, []), (8, ["sym_prod"] * 10 + ["sym_square"])]:
         calls.clear()
         with pytest.raises(SizeLimitError, match="reached 2780 elements, over the cap 100"):
             power_card_sequence(64, limit, max_elements=100)
@@ -230,6 +230,52 @@ def test_wide_layout_sweep_matches_oracles(monkeypatch):
         assert power_card_sequence(k, limit) == want[k]
 
 
+@pytest.mark.parametrize("wide", [False, True])
+def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
+    """Every product the sweep forms, on packed keys in _toggle_sums or,
+    with the layout forced wide, on SymSets in sym_prod, is H**m times
+    Q_r = {1, ..., r} with r > 1 and m <= limit/2, and H**m holds at
+    most max_elements elements.  Without a cap every m with
+    2m + 1 <= limit is multiplied; with one the sweep refuses the first
+    a(n) over it."""
+    cases = [(4, 40, None), (8, 40, None), (9, 33, None), (8, 40, 300), (9, 33, 400)]
+    expect = {}
+    for k, limit, cap in cases:
+        sets = [sym_power(k, m) for m in range(limit // 2 + 1)]
+        sets += [SymSet.from_values(k, range(1, r + 1)) for r in (2, 3)]
+        if not wide:
+            shifts = core._field_shifts(core._base_keys(make_base_set(k), limit)[1])[0]
+            sets = [core._pack(s.exponents, shifts) for s in sets]
+        expect[k, limit] = sets, [brute_card(k, n) for n in range(limit + 1)]
+    seen = []
+    if wide:
+        prod = core.sym_prod
+        monkeypatch.setattr(core, "_base_keys", lambda base, n: None)
+        monkeypatch.setattr(core, "sym_prod", lambda a, b: seen.append((a, b)) or prod(a, b))
+        same = SymSet.__eq__
+    else:
+        kernel = core._toggle_sums
+        monkeypatch.setattr(core, "_toggle_sums", lambda a, b: seen.append((a, b)) or kernel(a, b))
+        same = np.array_equal
+    for k, limit, cap in cases:
+        sets, cards = expect[k, limit]
+        seen.clear()
+        if cap is None:
+            assert power_card_sequence(k, limit) == cards
+        else:
+            first = next(card for card in cards if card > cap)
+            with pytest.raises(SizeLimitError, match=f"reached {first} elements, over the cap {cap}"):
+                power_card_sequence(k, limit, max_elements=cap)
+        multiplied = set()
+        for a, b in seen:
+            (m,) = [m for m, s in enumerate(sets[: limit // 2 + 1]) if same(a, s)]
+            assert len(a) == cards[m] <= (cap or DEFAULT_ELEMENT_CAP)
+            assert [r for r, s in zip((2, 3), sets[limit // 2 + 1 :]) if same(b, s)] != []
+            multiplied.add(m)
+        if cap is None:
+            assert multiplied == set(range((limit - 1) // 2 + 1))
+
+
 def unsliced(ka, kb):
     """Keys hit an odd number of times by the sums ka[i] + kb[j], by counting."""
     keys, counts = np.unique(np.add.outer(ka, kb), return_counts=True)
@@ -238,21 +284,24 @@ def unsliced(ka, kb):
 
 def sweep_products(limit):
     """(ka, kb, unsliced result) of every kernel call that
-    power_card_sequence(k, limit) makes for k = 4..8."""
+    power_card_sequence(k, limit) and brute_card(k, limit - 1) make for
+    k = 4..8."""
     calls = []
     kernel = core._toggle_sums
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka, kb)) or kernel(ka, kb))
         for k in range(4, 9):
             power_card_sequence(k, limit)
+            brute_card(k, limit - 1)
     return [(ka, kb, unsliced(ka, kb)) for ka, kb in calls]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_sliced_kernel_equals_unsliced_on_power_steps(monkeypatch, chunk):
-    """Every product of the sweeps of k = 4..8 up to n = 64, cut into
-    slices of about chunk sums.  A slice costs about 15 us however few
-    sums it holds, so chunks 1 and 7 stop at n = 32."""
+    """Every product of the sweeps of k = 4..8 up to n = 64 and of
+    brute_card(k, 63), whose last step at k = 8 has 85 952 pairs, cut
+    into slices of about chunk sums.  A slice costs about 15 us however
+    few sums it holds, so chunks 1 and 7 stop at n = 32 and 31."""
     steps = sweep_products(32 if chunk < 64 else 64)
     assert max(ka.size * kb.size for ka, kb, _ in steps) > 50 * chunk
     monkeypatch.setattr(core, "_CHUNK_KEYS", chunk)
@@ -310,9 +359,11 @@ def test_element_cap_enforced(monkeypatch):
     with pytest.raises(SizeLimitError, match=message):
         iterated_powers(8, 63)
     with pytest.raises(SizeLimitError, match=message):
-        power_card_sequence(8, 63)
-    with pytest.raises(SizeLimitError, match=message):
         brute_card(8, 63)
+    # the sweep's first product over the guard is H**23 * {1, 2}, 2 * 2256 pairs
+    message = "symmetric product needs 4512 pairwise products, over the guard 2000"
+    with pytest.raises(SizeLimitError, match=message):
+        power_card_sequence(8, 63)
 
 
 def test_check_sequence_cap_raises_what_the_sweep_raises(monkeypatch):

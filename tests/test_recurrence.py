@@ -212,7 +212,9 @@ def run_table_words():
     1..70, on both sides of the run table's bound of 64: ascending,
     descending and shuffled; cut by 00 and 000 gaps into blocks (a 000
     gap leaves a zero at the head of the next block); with trailing
-    zeros; and with a last block that ends in a run of 63, 64 or 70."""
+    zeros; with a last block that ends in a run of 63, 64 or 70; and
+    with blocks that open with runs of every length 1..70, or are one
+    run of 63, 64 or 70 ones."""
     rng = random.Random(20261019)
     lengths = list(range(1, 71))
     shuffled = rng.sample(lengths, len(lengths))
@@ -226,6 +228,8 @@ def run_table_words():
     for tail in (63, 64, 70):
         words.append(words[2] + "00" + "11" + "0" + "1" * tail)
         words.append(words[2] + "0" + "1" * tail)
+    words.append("00".join("1" * length + "01" for length in shuffled))
+    words += ["1" * length for length in (63, 64, 70)]
     return [int(word, 2) for word in words]
 
 
