@@ -16,7 +16,8 @@ An integer product is an exponent-vector sum, so the real work is
 multiplicity-parity bookkeeping over pairwise vector sums: rows are
 packed into 64-bit integer keys (one bit field per prime, sized to the
 operation at hand), the key array is sorted, and runs of equal keys are
-kept or dropped by the parity of their length.  One kernel,
+kept or dropped by the parity of their length; when no key repeats,
+the sorted keys are the result as they stand.  One kernel,
 ``_toggle_sums``, does this for every packed product; past
 ``_CHUNK_KEYS`` sums it works one output key range at a time, so its
 buffers stay near that size.  If the fields ever outgrow 63 bits the
@@ -25,11 +26,15 @@ slower.
 
 The object of interest downstream is the n-th symmetric power of the
 base set {1, ..., k}, whose cardinality as a function of n the chain and
-recurrence modules reproduce without materialising any sets.  The power
-operations (``sym_power``, ``brute_card``, ``power_card_sequence``) fix
-one key layout per call: each field holds n times the base set's
-largest exponent in its column, which bounds that exponent in every
-power 0..n.  The powers then stay sorted int64 keys from start to end:
+recurrence modules reproduce without materialising any sets.  The
+exponent rows of 1, ..., k and their column maxima are built once per k
+and kept read-only; ``make_base_set`` returns one shared SymSet per k,
+and the sets {1}, {c} and {1, ..., r} the power operations start from
+are slices of the same rows.  The power operations (``sym_power``,
+``brute_card``, ``power_card_sequence``) fix one key layout per call:
+each field holds n times the base set's largest exponent in its column,
+which bounds that exponent in every power 0..n.  The powers then stay
+sorted int64 keys from start to end:
 squaring doubles every key, multiplying by the base set goes through the
 same kernel as ``sym_prod``, and only ``sym_power`` unpacks, once, at
 the end.  A layout wider than 63 bits (k = 64 at n = 8, say) steps
@@ -163,13 +168,22 @@ def _parity_sorted(keys: np.ndarray) -> np.ndarray:
     """Keys occurring an odd number of times, assuming sorted input.
 
     One neighbour-compare mask, with a sentinel at each end, marks the
-    run boundaries.  A run is odd when its two boundaries differ in the
-    lowest bit; the uint8 cast keeps that bit and makes the test one
-    byte-wide pass.
+    run boundaries.  When no two neighbours are equal every key is its
+    own run and the keys come back as they are: the caller's array
+    itself, which is safe because every caller passes a fresh buffer.
+    In brute_card at k <= 15 every product that follows a 0-bit of n
+    is such a case: it multiplies fourth powers x**4 by h <= k, and
+    x**4 * h = y**4 * h' needs h / h' to be a fourth power.  At k = 16
+    some cancel (16 / 1 = 2**4), so the mask is always checked rather
+    than the case assumed.  Otherwise a run is odd when its two
+    boundaries differ in the lowest bit; the uint8 cast keeps that bit
+    and makes the test one byte-wide pass.
     """
     edge = np.empty(keys.size + 1, dtype=bool)
     edge[0] = edge[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    if edge.all():
+        return keys
     bounds = np.flatnonzero(edge)
     low = bounds.astype(np.uint8)
     odd = ((low[1:] ^ low[:-1]) & 1).view(bool)
@@ -401,12 +415,28 @@ def _check_same_ring(a: SymSet, b: SymSet) -> None:
         raise DomainError(f"operands live over different rings: k={a.k} vs k={b.k}")
 
 
+@lru_cache(maxsize=None)
+def _base_table(k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Exponent rows of 1, ..., k in value order, and their column maxima.
+
+    Row i - 1 is the exponent vector of i, so rows[:r] is {1, ..., r}
+    and rows[c - 1 : c] is {c}.  Built once per k and read-only.
+    """
+    basis = _basis_for(k)
+    rows = np.asarray([_factor(v, basis) for v in range(1, k + 1)], dtype=np.int64)
+    rows = rows.reshape(k, len(basis))
+    rows.setflags(write=False)
+    return rows, tuple(int(m) for m in rows.max(axis=0))
+
+
+@lru_cache(maxsize=None)
 def make_base_set(k: int) -> SymSet:
     """The set {1, ..., k}, the generator whose symmetric powers we study.
 
-    k is capped at MAX_K (64).
+    k is capped at MAX_K (64).  The set is built once per k: every call
+    returns the same immutable SymSet, whose rows are read-only.
     """
-    return SymSet.from_values(k, range(1, k + 1))
+    return SymSet(k, _canonical(_base_table(k)[0]), _internal=True)
 
 
 def sym_diff(a: SymSet, b: SymSet) -> SymSet:
@@ -502,11 +532,11 @@ def _base_keys(base: SymSet, n: int):
 
     Every element of power r is a product of r base elements, so its
     exponent in column j is at most r times the base set's maximum
-    there.  Fields sized for n times those maxima therefore hold every
-    power 0..n and never need widening.  Returns None when they need
-    more than 63 bits.
+    there, which _base_table keeps.  Fields sized for n times those
+    maxima therefore hold every power 0..n and never need widening.
+    Returns None when they need more than 63 bits.
     """
-    maxima = [n * int(m) for m in base.exponents.max(axis=0)]
+    maxima = [n * m for m in _base_table(base.k)[1]]
     shifts, total = _field_shifts(maxima)
     if total > 63:
         return None
@@ -544,7 +574,7 @@ def _power(k: int, n: int, cap: int):
     if n < 0:
         raise DomainError(f"power index must be >= 0, got {n}")
     if n == 0:
-        return SymSet.from_values(k, [1]), None
+        return SymSet(k, _base_table(k)[0][:1], _internal=True), None
     base = make_base_set(k)
     packed = _base_keys(base, n)
     if packed is None:
@@ -677,7 +707,7 @@ def power_card_sequence(
         raise DomainError(f"limit must be >= 0, got {limit}")
     packed = _base_keys(make_base_set(k), limit)
     if packed is None:
-        pack, times, square = (lambda s: s), sym_prod, sym_square
+        pack, times, square = (lambda rows: SymSet(k, rows, _internal=True)), sym_prod, sym_square
 
         def odd_power(parts):
             rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
@@ -685,15 +715,16 @@ def power_card_sequence(
 
     else:
         shifts = _field_shifts(packed[1])[0]
-        pack, times, square = (lambda s: _pack(s.exponents, shifts)), _times_keys, (lambda s: s * 2)
+        pack, times, square = (lambda rows: _pack(rows, shifts)), _times_keys, (lambda s: s * 2)
 
         def odd_power(parts):
             keys = _doubled_union(parts)
             keys.sort(kind="stable")  # one sorted run per class
             return keys
 
-    classes = [(pack(SymSet.from_values(k, [c])), r) for c, r in _square_free(k)]
-    factors = {r: pack(SymSet.from_values(k, range(1, r + 1))) for r, _ in _square_classes(k)}
+    table = _base_table(k)[0]
+    classes = [(pack(table[c - 1 : c]), r) for c, r in _square_free(k)]
+    factors = {r: pack(_canonical(table[:r])) for r, _ in _square_classes(k)}
     cards = [0] * (limit + 1)
     over = limit + 1  # the first index found over the cap
     stack = [(0, factors[1])]  # H**0 = Q_1 = {1}

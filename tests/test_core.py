@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symnabla import core
@@ -67,8 +67,31 @@ def test_base_set_contents():
 
 @pytest.mark.parametrize("k", [0, -3, MAX_K + 1])
 def test_base_set_rejects_bad_k(k):
-    with pytest.raises(DomainError):
-        make_base_set(k)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(DomainError):
+            make_base_set(k)
+
+
+def test_base_set_is_built_once_per_k():
+    """Every k shares one read-only base set, equal to the one built
+    from its values, and the identity {1} the powers start from is
+    unchanged."""
+    for k in range(1, MAX_K + 1):
+        base = make_base_set(k)
+        assert base is make_base_set(k)
+        assert base == SymSet.from_values(k, range(1, k + 1))
+        with pytest.raises(ValueError):
+            base.exponents[...] += 1
+        assert brute_card(k, 0) == 1
+        one = sym_power(k, 0)
+        assert one == SymSet.from_values(k, [1]) and not one.exponents.flags.writeable
+    assert core._base_table(8)[0].tolist()[5] == [1, 1, 0, 0]  # row i - 1 is i = 6
+    for k in (5, 9, 16):
+        cards = [brute_card(k, n) for n in range(41)]
+        for cap in (1, 20):
+            first = next(card for card in cards if card > cap)
+            with pytest.raises(SizeLimitError, match=f"reached {first} elements, over the cap {cap}$"):
+                power_card_sequence(k, 40, max_elements=cap)
 
 
 def test_from_values_rejects_non_smooth_and_non_positive():
@@ -329,6 +352,64 @@ def test_sliced_kernel_on_random_keys(monkeypatch):
         for ka, kb in cases:
             got = core._toggle_sums(ka, kb)
             assert got.dtype == np.int64 and np.array_equal(got, unsliced(ka, kb))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-(2**62), 2**62), st.integers(1, 9)), max_size=40))
+@example([])
+@example([(5, 1)])
+@example([(v, 1) for v in range(30)])  # all distinct
+@example([(7, 8)])  # all equal, an even count
+@example([(7, 9)])  # all equal, an odd count
+def test_parity_scan_matches_counting(runs):
+    """Runs of 1 to 9 equal keys, sorted: the scan keeps the keys of odd
+    runs, and hands back its own input when no key repeats."""
+    values = np.array([v for v, _ in runs], dtype=np.int64)
+    keys = np.sort(np.repeat(values, np.array([c for _, c in runs], dtype=np.int64)))
+    uniq, counts = np.unique(keys, return_counts=True)
+    got = core._parity_sorted(keys)
+    assert got.dtype == np.int64 and np.array_equal(got, uniq[counts % 2 == 1])
+    assert (got is keys) == (uniq.size == keys.size)
+
+
+def test_sliced_kernel_mixes_early_and_full_scans(monkeypatch):
+    """Sums below 1000 are all distinct and sums above it collide, so
+    with small slices some scans return their input and others cancel."""
+    ka = np.concatenate([np.arange(50) * 10, 1000 + np.arange(50)])
+    kb = np.array([0, 1])
+    scan = core._parity_sorted
+    distinct = []
+    monkeypatch.setattr(core, "_parity_sorted", lambda keys: distinct.append((r := scan(keys)) is keys) or r)
+    monkeypatch.setattr(core, "_CHUNK_KEYS", 20)
+    assert np.array_equal(core._toggle_sums(ka, kb), unsliced(ka, kb))
+    assert len(distinct) > 2 and True in distinct and False in distinct
+
+
+def test_products_after_a_zero_bit_cancel_nothing_below_k_16(monkeypatch):
+    """In brute_card(k, n) a product that follows a 0-bit of n is
+    H**(4i) * H: fourth powers x**4 times h <= k.  Below k = 16 no two
+    of its sums are equal, so it cancels nothing.  At k = 16 some do,
+    the first at n = 5 (16 / 1 = 2**4), so the kernel checks rather
+    than assumes.  For n < 128 these are the products with 4i + 1 < 128,
+    each the last step of brute_card(k, 4i + 1); power 127 itself is
+    over the cap at k = 15."""
+    kernel = core._toggle_sums
+    calls = []
+    monkeypatch.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka.size * kb.size, len(r := kernel(ka, kb)))) or r)
+
+    def after_zero(k, n):
+        """(pairs, output length) of each product after a 0-bit in brute_card(k, n)."""
+        calls.clear()
+        brute_card(k, n)
+        bits = bin(n)[2:]
+        products = [i for i in range(1, len(bits)) if bits[i] == "1"]
+        assert len(calls) == len(products)
+        return [call for i, call in zip(products, calls) if bits[i - 1] == "0"]
+
+    for k in (4, 8, 9, 15):
+        steps = [step for n in range(5, 128, 4) for step in after_zero(k, n)]
+        assert len(steps) >= 31 and all(pairs == out for pairs, out in steps)
+    assert after_zero(16, 5) == [(16 * 16, 240)]  # |H**4| = 16, and 16 of the sums cancel
 
 
 def test_products_of_large_sets_match_reference(monkeypatch):
