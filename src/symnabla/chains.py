@@ -22,11 +22,11 @@ and that distinct chains never sit close enough to concatenate (equal
 odd parts must differ in the exponent of 2 by at least 3 for k = 8,
 at least 2 below).
 
-One numpy pass over a set's exponent rows (``_chain_runs``) finds every
-run as arrays of group, starting exponent of 2 and length.  The census
-(``census``) and all of ``verify_transfer``'s checks are computed from
-those arrays; ``Chain`` objects are built only by ``decompose``, for
-listing chains.
+One numpy pass (``_split_runs``) finds every run as arrays of group,
+starting exponent of 2 and length, from a set's exponent rows
+(``_chain_runs``) or, in ``verify_transfer``, from packed keys
+(``_key_runs``).  The census and all checks are computed from those
+arrays; ``Chain`` objects are built only by ``decompose``.
 
 Matrix arithmetic in this module is exact: plain Python integers in
 nested tuples.
@@ -41,8 +41,9 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_ELEMENT_CAP, ElementVec, SymSet, _check_cap, make_base_set, sym_prod, sym_square
-from .errors import DomainError
+from .core import DEFAULT_ELEMENT_CAP, ElementVec, SymSet, make_base_set
+from .core import _base_keys, _check_cap, _check_pairs, _times_keys, _unpack
+from .errors import DomainError, SizeLimitError
 
 ChainKind = Literal["A", "B", "C"]
 
@@ -147,26 +148,36 @@ def census_components(k: int) -> tuple[str, ...]:
 _KINDS: tuple[ChainKind, ...] = ("A", "B", "C")
 
 # Per kind: group index, starting exponent of 2 and length of each run.
-_RunArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Runs = dict[ChainKind, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _split(group: np.ndarray, e2: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and length of each maximal run of neighbours in one
-    group whose exponent of 2 rises by step."""
-    brk = np.ones(len(e2), dtype=bool)
-    np.not_equal(group[1:], group[:-1], out=brk[1:])
-    brk[1:] |= (e2[1:] - e2[:-1]) != step
-    starts = np.flatnonzero(brk)
-    return starts, np.diff(starts, append=len(e2))
+def _split_runs(new_group: np.ndarray, e2: np.ndarray, k: int) -> _Runs:
+    """Split members sorted by (odd part, exponent of 2) into runs, A
+    phase first, then B (k = 8 only), then C.  new_group marks the first
+    member of each odd part (group) and e2 holds the exponents of 2."""
+    group = np.cumsum(new_group) - 1
+    empty = np.empty(0, dtype=np.int64)
+    runs: _Runs = {"B": (empty, empty, empty)}
+    for kind in ("A", "B") if k == 8 else ("A",):
+        brk = np.ones(len(e2), dtype=bool)
+        np.not_equal(group[1:], group[:-1], out=brk[1:])
+        brk[1:] |= (e2[1:] - e2[:-1]) != _STEP_RATIO[kind]
+        starts = np.flatnonzero(brk)
+        lengths = np.diff(starts, append=len(e2))
+        chain = lengths >= 2
+        runs[kind] = (group[starts[chain]], e2[starts[chain]], lengths[chain])
+        left = np.repeat(~chain, lengths)
+        group, e2 = group[left], e2[left]
+    runs["C"] = (group, e2, np.ones(len(e2), dtype=np.int64))
+    return runs
 
 
-def _chain_runs(s: SymSet) -> tuple[np.ndarray, dict[ChainKind, _RunArrays]]:
-    """Split a power set into runs: A phase first, then B, then C.
+def _chain_runs(s: SymSet) -> tuple[np.ndarray, _Runs]:
+    """The odd-part rows of the groups of a set and its run arrays.
 
-    A set's canonical row order (last column most significant) is
-    already the sort by (odd part, exponent of 2), so a group is a block
-    of rows with equal odd part.  Returns the odd-part rows of the
-    groups and, per kind, the run arrays; kind B is empty below k = 8.
+    Canonical row order (last column most significant) is already the
+    sort by (odd part, exponent of 2).  Rows serve any SymSet, however
+    wide; ``verify_transfer`` splits its packed keys by ``_key_runs``.
     """
     _check_chain_k(s.k)
     if len(s) == 0:
@@ -175,21 +186,19 @@ def _chain_runs(s: SymSet) -> tuple[np.ndarray, dict[ChainKind, _RunArrays]]:
     rest = exps[:, 1:]
     new_group = np.ones(len(exps), dtype=bool)
     np.any(rest[1:] != rest[:-1], axis=1, out=new_group[1:])
-    group = np.cumsum(new_group) - 1
-    e2 = exps[:, 0]
-    empty = np.empty(0, dtype=np.int64)
-    runs: dict[ChainKind, _RunArrays] = {"B": (empty, empty, empty)}
-    for kind in ("A", "B") if s.k == 8 else ("A",):
-        starts, lengths = _split(group, e2, _STEP_RATIO[kind])
-        chain = lengths >= 2
-        runs[kind] = (group[starts[chain]], e2[starts[chain]], lengths[chain])
-        left = np.repeat(~chain, lengths)
-        group, e2 = group[left], e2[left]
-    runs["C"] = (group, e2, np.ones(len(e2), dtype=np.int64))
-    return rest[new_group], runs
+    return rest[new_group], _split_runs(new_group, exps[:, 0], s.k)
 
 
-def _census(k: int, runs: dict[ChainKind, _RunArrays]) -> StructVec:
+def _key_runs(keys: np.ndarray, w: int, k: int) -> tuple[np.ndarray, _Runs]:
+    """``_chain_runs`` for sorted keys whose lowest field, w bits wide,
+    is the exponent of 2: the odd part is key >> w."""
+    odd = keys >> w
+    new_group = np.ones(len(keys), dtype=bool)
+    np.not_equal(odd[1:], odd[:-1], out=new_group[1:])
+    return odd[new_group], _split_runs(new_group, keys & ((1 << w) - 1), k)
+
+
+def _census(k: int, runs: _Runs) -> StructVec:
     a, b = runs["A"][2], runs["B"][2]
     return StructVec(k, int(a.sum()), len(a), int(b.sum()), len(b), len(runs["C"][2]))
 
@@ -413,73 +422,38 @@ class TransferReport:
         return "\n".join(lines)
 
 
-def _members(odd: np.ndarray, runs: dict[ChainKind, _RunArrays]) -> tuple[np.ndarray, np.ndarray]:
-    """Every member of every run as an exponent row, sorted by (group,
-    exponent of 2), with the id of its run; ids count A, then B, then C."""
+def _check_runs(keys, odd, runs: _Runs, w: int, maxima, k: int, n: int, failures: list) -> None:
+    """Partition and gap checks of the runs ``_key_runs`` split from keys.
+    Every run member is formed as a key, with its run id (A, then B,
+    then C); each kind is in key order, so a stable sort merges them."""
     group, start, length = (np.concatenate([runs[kind][i] for kind in _KINDS]) for i in range(3))
-    step = np.concatenate(
-        [np.full(len(runs[kind][0]), _STEP_RATIO[kind], dtype=np.int64) for kind in _KINDS]
-    )
+    step = np.repeat([_STEP_RATIO[kind] for kind in _KINDS], [len(runs[kind][0]) for kind in _KINDS])
     run_id = np.repeat(np.arange(len(length)), length)
-    offset = np.arange(len(run_id)) - np.repeat(np.cumsum(length) - length, length)
-    e2 = start[run_id] + step[run_id] * offset
-    g = group[run_id]
-    order = np.lexsort((e2, g))
-    rows = np.empty((len(order), odd.shape[1] + 1), dtype=np.int64)
-    rows[:, 0] = e2[order]
-    rows[:, 1:] = odd[g[order]]
-    return rows, run_id[order]
-
-
-def _check_partition(s: SymSet, rows: np.ndarray, k: int, n: int, failures: list) -> None:
-    # The set's rows are distinct and in canonical order, which is the
-    # order of the members: equal row for row means each is covered once.
-    if not np.array_equal(rows, s.exponents):
-        distinct = len(np.unique(rows, axis=0))
-        failures.append(
-            TransferFailure(k, n, "partition", None, f"{len(s)} elements covered once", f"{len(rows)} chain slots, {distinct} distinct")
-        )
-
-
-def _check_gaps(
-    s: SymSet,
-    odd: np.ndarray,
-    runs: dict[ChainKind, _RunArrays],
-    rows: np.ndarray,
-    run_id: np.ndarray,
-    k: int,
-    n: int,
-    failures: list,
-) -> None:
-    # Distinct chains may not concatenate: members with the same odd part
-    # must be at least min_gap apart in the exponent of 2.
+    # member j of a run starting at slot i is its first key plus step * (j - i)
+    members = np.repeat((odd[group] << w) + start - step * (np.cumsum(length) - length), length)
+    members += step[run_id] * np.arange(len(run_id))
+    order = np.argsort(members, kind="stable")
+    members, run_id = members[order], run_id[order]
+    # The keys are distinct and ascending: equal means covered once.
+    if not np.array_equal(members, keys):
+        slots = f"{len(members)} chain slots, {len(np.unique(members))} distinct"
+        failures.append(TransferFailure(k, n, "partition", None, f"{len(keys)} elements covered once", slots))
+    # Distinct chains may not concatenate: keys with the same odd part
+    # must be at least min_gap apart (in the exponent of 2).
     min_gap = 3 if k == 8 else 2
-    gap = rows[1:, 0] - rows[:-1, 0]
-    close = (
-        np.all(rows[1:, 1:] == rows[:-1, 1:], axis=1)
-        & (run_id[1:] != run_id[:-1])
-        & (gap < min_gap)
-    )
+    gap = members[1:] - members[:-1]
+    close = (gap < min_gap) & (run_id[1:] != run_id[:-1]) & ((members[1:] >> w) == (members[:-1] >> w))
     if not close.any():
         return
-    table = [(kind, g, e) for kind in _KINDS for g, e in zip(runs[kind][0].tolist(), runs[kind][1].tolist())]
+    kinds = [kind for kind in _KINDS for _ in runs[kind][0]]
 
     def describe(rid: int) -> str:
-        kind, g, e = table[rid]
-        base = ElementVec(s.basis, (e,) + tuple(odd[g].tolist()))
-        return f"{kind} base={base.value}"
+        row = _unpack((odd[group[rid : rid + 1]] << w) + start[rid], maxima)[0]
+        return f"{kinds[rid]} base={ElementVec(make_base_set(k).basis, tuple(row.tolist())).value}"
 
     for i in np.flatnonzero(close).tolist():
-        failures.append(
-            TransferFailure(
-                k,
-                n,
-                "chain_gap",
-                None,
-                f"gap >= {min_gap} between chains {describe(run_id[i])} and {describe(run_id[i + 1])}",
-                f"gap {gap[i]}",
-            )
-        )
+        expected = f"gap >= {min_gap} between chains {describe(run_id[i])} and {describe(run_id[i + 1])}"
+        failures.append(TransferFailure(k, n, "chain_gap", None, expected, f"gap {gap[i]}"))
 
 
 def _check_vector(k: int, n: int, check: str, predicted: Sequence[int], actual: StructVec, failures: list) -> None:
@@ -494,37 +468,51 @@ def verify_transfer(
     """Check the transfer step against brute-force chain censuses.
 
     Builds the powers at indices 1, 3, 7, ..., 2**n_max - 1 with the set
-    oracle, splits each into runs, and for every n < n_max asserts that
-    the hardcoded step matrix maps the census at index 2**n - 1 to the
-    one at 2**(n+1) - 1 (check "vector"), and that the squaring matrix
-    maps it to the census of that power's square (check "square", at
-    level n).  Partition and non-concatenation of the chains are checked
-    at every level.  Everything is computed from run arrays; no Chain is
-    built.  All findings are collected into the report rather than
-    raised.
+    oracle and for every n < n_max asserts that the hardcoded step
+    matrix maps the census at index 2**n - 1 to the one at 2**(n+1) - 1
+    (check "vector"), and that the squaring matrix maps it to the census
+    of that power's square (check "square", at level n).  Partition and
+    non-concatenation of the chains are checked at every level.  All
+    findings are collected into the report rather than raised.
+
+    The powers are sorted int64 keys in one layout, ``_base_keys``'s for
+    power 2**t - 1, t = min(n_max, T) with T the largest level that fits
+    63 bits (31, 20, 20, 15, 15 for k = 4..8).  Squaring doubles the
+    keys, a step is ``_times_keys`` by the base set, under sym_prod's
+    pair guard, and no row or Chain is built.  The guard refuses a level
+    before T is passed (level 17, 13, 12, 11, 11 for k = 4..8); should
+    it not, a level past T raises SizeLimitError rather than wrap.
     """
     _check_chain_k(k)
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     base = make_base_set(k)
+    # The field of 2 in the layout for power 2**t - 1 is t bits or wider.
+    t = min(n_max, 63)
+    while (packed := _base_keys(base, 2**t - 1)) is None:
+        t -= 1
+    kb, maxima = packed
+    w = max(maxima[0].bit_length(), 1)
     step = transfer_matrix(k)
     square = squaring_matrix(k)
     failures: list[TransferFailure] = []
     vectors: list[StructVec] = []
 
-    current = SymSet.from_values(k, [1])
+    current = np.zeros(1, dtype=np.int64)  # {1}
     for n in range(n_max + 1):
-        odd, runs = _chain_runs(current)
-        rows, run_id = _members(odd, runs)
-        _check_partition(current, rows, k, n, failures)
-        _check_gaps(current, odd, runs, rows, run_id, k, n, failures)
+        odd, runs = _key_runs(current, w, k)
+        _check_runs(current, odd, runs, w, maxima, k, n, failures)
         sv = _census(k, runs)
         if vectors:
             _check_vector(k, n, "vector", step.apply(vectors[-1].vector()), sv, failures)
         vectors.append(sv)
         if n < n_max:
-            squared = sym_square(current)
-            _check_vector(k, n, "square", square.apply(sv.vector()), census(squared), failures)
-            current = sym_prod(squared, base)
+            if n == t:
+                _check_pairs(len(current), len(kb))
+                raise SizeLimitError(f"power {2 ** (n + 1) - 1} of k={k} needs keys wider than 63 bits")
+            squared = current * 2
+            actual = _census(k, _key_runs(squared, w, k)[1])
+            _check_vector(k, n, "square", square.apply(sv.vector()), actual, failures)
+            current = _times_keys(squared, kb)
             _check_cap(len(current), max_elements)
     return TransferReport(k, n_max, tuple(vectors), tuple(failures))

@@ -1,5 +1,6 @@
 """Chain decomposition, structural vectors, and transfer verification."""
 
+import time
 from math import prod
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symnabla.chains as chains_mod
+import symnabla.core as core_mod
 from symnabla.chains import (
     Chain,
     StructVec,
@@ -37,7 +39,8 @@ from symnabla.core import (
     sym_prod,
     sym_square,
 )
-from symnabla.errors import DomainError
+from symnabla.errors import DomainError, SizeLimitError
+from symnabla.recurrence import sparse_term
 
 
 def _runs(values, step):
@@ -431,14 +434,13 @@ def test_census_rejects_what_decompose_rejects():
 
 
 def _patch_runs(monkeypatch, mutate):
-    """Route every split through mutate(odd, runs) -> runs."""
-    original = chains_mod._chain_runs
+    """Route every split, from rows or keys, through mutate(None, runs) -> runs."""
+    original = chains_mod._split_runs
 
-    def patched(s):
-        odd, runs = original(s)
-        return odd, mutate(odd, dict(runs))
+    def patched(new_group, e2, k):
+        return mutate(None, dict(original(new_group, e2, k)))
 
-    monkeypatch.setattr(chains_mod, "_chain_runs", patched)
+    monkeypatch.setattr(chains_mod, "_split_runs", patched)
 
 
 def _drop_member(odd, runs):
@@ -525,3 +527,92 @@ def test_verify_and_structure_build_no_chain(monkeypatch, capsys):
     assert out.splitlines()[-1] == "(200,54,64,20,32)"
     with pytest.raises(AssertionError):
         decompose(make_base_set(8))
+
+
+@pytest.mark.parametrize("k, t_max", [(4, 6), (5, 6), (6, 6), (7, 6), (8, 7)])
+def test_verify_transfer_keys_match_rows_census(k, t_max, monkeypatch):
+    """Every census verify_transfer checks, split from packed keys, equals
+    the census of the same set split from its rows: the level's
+    against sym_power, the square's against sym_square."""
+    seen = []
+    original = chains_mod._check_vector
+
+    def spy(k_, n, check, predicted, actual, failures):
+        seen.append((check, n, actual))
+        original(k_, n, check, predicted, actual, failures)
+
+    monkeypatch.setattr(chains_mod, "_check_vector", spy)
+    rep = verify_transfer(k, t_max)
+    assert rep.ok
+    assert [(check, n) for check, n, _ in seen] == [
+        (check, n) for n in range(t_max + 1) for check in ("vector", "square")
+    ][1:-1]
+    for n in range(t_max + 1):
+        assert rep.vectors[n] == census(sym_power(k, 2**n - 1)), (k, n)
+    for check, n, actual in seen:
+        if check == "square":
+            assert actual == census(sym_square(sym_power(k, 2**n - 1))), (k, n)
+
+
+def _layout_level(k):
+    """The largest t whose key layout for power 2**t - 1 fits 63 bits."""
+    return max(t for t in range(1, 64) if core_mod._base_keys(make_base_set(k), 2**t - 1) is not None)
+
+
+def _first_level_over(k, bound, factor=1):
+    """The first level t >= 1 with sparse_term(k, t) * factor > bound."""
+    t = 1
+    while sparse_term(k, t) * factor <= bound:
+        t += 1
+    return t
+
+
+def test_key_layout_reaches_the_guard():
+    """The widest layout holds every level verify_transfer can form: the
+    pair guard refuses to form level g, where |level g - 1| * k first
+    exceeds it, and g is within the layout."""
+    reach = {}
+    for k in (4, 5, 6, 7, 8):
+        guard_level = _first_level_over(k, core_mod._PAIR_GUARD, k) + 1
+        assert guard_level <= _layout_level(k), k
+        reach[k] = (_layout_level(k), guard_level)
+    # the figures the verify_transfer docstring quotes
+    assert reach == {4: (31, 17), 5: (20, 13), 6: (20, 12), 7: (15, 11), 8: (15, 11)}
+
+
+@pytest.mark.parametrize("n_max", [12, 40, 2**70])
+def test_verify_transfer_refusals(n_max, monkeypatch):
+    """The cap and the pair guard refuse with sym_prod's and the power
+    operations' messages, however large n_max; a layout too narrow for
+    the guard's level raises instead of wrapping."""
+    for k in (4, 5, 6, 7, 8):
+        for cap in (1, 100, 5000):
+            a = sparse_term(k, _first_level_over(k, cap))
+            started = time.perf_counter()
+            with pytest.raises(SizeLimitError) as err:
+                verify_transfer(k, n_max, max_elements=cap)
+            assert str(err.value) == f"symmetric power reached {a} elements, over the cap {cap}"
+            assert time.perf_counter() - started < 2
+    monkeypatch.setattr(core_mod, "_PAIR_GUARD", 4096)
+    wide = core_mod._base_keys
+    for k in (4, 5, 6, 7, 8):
+        level = _first_level_over(k, 4096, k)  # the last level formed
+        pairs = sparse_term(k, level) * k
+        message = f"symmetric product needs {pairs} pairwise products, over the guard 4096"
+        with pytest.raises(SizeLimitError) as err:
+            verify_transfer(k, n_max, max_elements=10**9)
+        assert str(err.value) == message
+        # at the edge of a layout that ends at that level the guard still speaks first
+        monkeypatch.setattr(chains_mod, "_base_keys", lambda base, n: wide(base, n) if n < 2**level else None)
+        with pytest.raises(SizeLimitError) as err:
+            verify_transfer(k, n_max, max_elements=10**9)
+        assert str(err.value) == message
+        monkeypatch.setattr(chains_mod, "_base_keys", wide)
+    monkeypatch.undo()
+    reports = {k: verify_transfer(k, 4) for k in (4, 5, 6, 7, 8)}
+    # a layout that holds levels 0..4 only, far below the guard's level
+    monkeypatch.setattr(chains_mod, "_base_keys", lambda base, n: wide(base, n) if n < 2**4 else None)
+    for k in (4, 5, 6, 7, 8):
+        assert verify_transfer(k, 4) == reports[k]
+        with pytest.raises(SizeLimitError, match=f"power 31 of k={k} needs keys wider than 63 bits"):
+            verify_transfer(k, n_max)
