@@ -52,8 +52,12 @@ a(2m+1) = sum over c of |S * Q_r|, at k = 8 equal to
 each from its half: H**(2m) by doubling S, H**(2m+1) by one sort of
 the class products it already formed to count a(2m+1), so it never
 multiplies by the base set.  It walks them depth first, as keys or,
-past 63 bits, as SymSets.  ``brute_card`` and ``sym_power`` stay plain
-square-and-multiply on sets, the independent oracle.
+past 63 bits, as SymSets.  ``brute_card`` counts one index the same
+way: it builds S = H**h for n = (2h + 1) * 2**j by square-and-multiply
+and counts a(n) = a(2h + 1) from the class products of S.  The packed
+{c} and Q_r of both are built once per k and key layout
+(``_class_factors``).  ``sym_power`` stays plain square-and-multiply
+with the whole base set, the oracle's independent cross-check.
 
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
@@ -171,7 +175,7 @@ def _parity_sorted(keys: np.ndarray) -> np.ndarray:
     run boundaries.  When no two neighbours are equal every key is its
     own run and the keys come back as they are: the caller's array
     itself, which is safe because every caller passes a fresh buffer.
-    In brute_card at k <= 15 every product that follows a 0-bit of n
+    In sym_power at k <= 15 every product that follows a 0-bit of n
     is such a case: it multiplies fourth powers x**4 by h <= k, and
     x**4 * h = y**4 * h' needs h / h' to be a fourth power.  At k = 16
     some cancel (16 / 1 = 2**4), so the mask is always checked rather
@@ -544,7 +548,7 @@ def _base_keys(base: SymSet, n: int):
 
 
 def _times_keys(keys: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    """Product of a packed power by the packed base set, under sym_prod's guard."""
+    """Product of a packed power by packed keys kb, under sym_prod's guard."""
     _check_pairs(keys.size, kb.size)
     return _toggle_sums(keys, kb)
 
@@ -601,14 +605,38 @@ def sym_power(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> Sym
 
 
 def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> int:
-    """Cardinality of the n-th symmetric power, by building the set.
+    """Cardinality of the n-th symmetric power of {1, ..., k}, from sets.
 
     This is the ground-truth oracle the structural methods are checked
     against.  It works for any k up to MAX_K, subject to the element
-    cap.  It builds the power as sym_power does but only counts its
-    keys, without unpacking them.
+    cap.  On packed keys it writes n = (2h + 1) * 2**j and builds only
+    S = H**h, by square-and-multiply with H = {1, ..., k} as sym_power
+    does.  A square keeps the size of a set, so a(n) = a(2h + 1), which
+    the square-class split of power_card_sequence counts from S: the sum
+    over the classes of count * |S * Q_r|.  The last product of
+    sym_power, H**(2h) * H, and its j squares are never formed.
+
+    The refusals are sym_power's, in its order: the cap on each power up
+    to S, the pair guard on |S| * k pairs, the product sym_power forms
+    next, then the cap on a(n).  When the layout needs more than 63
+    bits, the power is built as sym_power builds it and counted.
     """
-    return len(_power(k, n, max_elements)[0])
+    packed = _base_keys(make_base_set(k), n) if n > 0 else None
+    if packed is None:
+        return len(_power(k, n, max_elements)[0])
+    kb, maxima = packed
+    factors = _class_factors(k, tuple(_field_shifts(maxima)[0].tolist()))[1]
+    h = n // (n & -n) // 2  # the odd part of n is 2h + 1
+    power = factors[1]  # H**0 = Q_1 = {1}
+    if h:
+        power = _square_and_multiply(kb, h, lambda keys: keys * 2, _times_keys, max_elements)
+    _check_pairs(power.size, kb.size)
+    card = sum(
+        count * (_times_keys(power, factors[r]).size if r > 1 else power.size)
+        for r, count in _square_classes(k)
+    )
+    _check_cap(card, max_elements)
+    return card
 
 
 @lru_cache(maxsize=None)
@@ -634,6 +662,33 @@ def _square_classes(k: int) -> tuple[tuple[int, int], ...]:
     of 3, 5, 6, 7 and of 1, 2.
     """
     return tuple(sorted(Counter(r for _, r in _square_free(k)).items()))
+
+
+@lru_cache(maxsize=None)
+def _class_factors(k: int, shifts: tuple[int, ...] | None):
+    """The square-class factors of {1, ..., k} in one key layout.
+
+    Returns (classes, factors): classes holds ({c}, r) for each (c, r)
+    of ``_square_free(k)``, and factors maps each r of
+    ``_square_classes(k)`` to Q_r = {1, ..., r}.  With field shifts the
+    sets are sorted int64 keys packed at those shifts; with None, the
+    wide layout, they are SymSets.  Built once per k and layout, from
+    slices of ``_base_table``, and read-only.  The layout of power n is
+    set by the bit lengths of n times the column maxima, so a k has at
+    most a few layouts per bit length of n, and the cache stays small.
+    """
+    table = _base_table(k)[0]
+
+    def pack(rows):
+        if shifts is None:
+            return SymSet(k, rows, _internal=True)
+        keys = _pack(rows, np.asarray(shifts, dtype=np.int64))
+        keys.setflags(write=False)
+        return keys
+
+    classes = tuple((pack(table[c - 1 : c]), r) for c, r in _square_free(k))
+    factors = {r: pack(_canonical(table[:r])) for r, _ in _square_classes(k)}
+    return classes, factors
 
 
 def _doubled_union(parts) -> np.ndarray:
@@ -707,24 +762,22 @@ def power_card_sequence(
         raise DomainError(f"limit must be >= 0, got {limit}")
     packed = _base_keys(make_base_set(k), limit)
     if packed is None:
-        pack, times, square = (lambda rows: SymSet(k, rows, _internal=True)), sym_prod, sym_square
+        shifts, times, square = None, sym_prod, sym_square
 
         def odd_power(parts):
             rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
             return SymSet(k, _canonical(rows), _internal=True)
 
     else:
-        shifts = _field_shifts(packed[1])[0]
-        pack, times, square = (lambda rows: _pack(rows, shifts)), _times_keys, (lambda s: s * 2)
+        shifts = tuple(_field_shifts(packed[1])[0].tolist())
+        times, square = _times_keys, (lambda s: s * 2)
 
         def odd_power(parts):
             keys = _doubled_union(parts)
             keys.sort(kind="stable")  # one sorted run per class
             return keys
 
-    table = _base_table(k)[0]
-    classes = [(pack(table[c - 1 : c]), r) for c, r in _square_free(k)]
-    factors = {r: pack(_canonical(table[:r])) for r, _ in _square_classes(k)}
+    classes, factors = _class_factors(k, shifts)
     cards = [0] * (limit + 1)
     over = limit + 1  # the first index found over the cap
     stack = [(0, factors[1])]  # H**0 = Q_1 = {1}

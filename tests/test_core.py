@@ -307,7 +307,7 @@ def unsliced(ka, kb):
 
 def sweep_products(limit):
     """(ka, kb, unsliced result) of every kernel call that
-    power_card_sequence(k, limit) and brute_card(k, limit - 1) make for
+    power_card_sequence(k, limit) and sym_power(k, limit - 1) make for
     k = 4..8."""
     calls = []
     kernel = core._toggle_sums
@@ -315,14 +315,14 @@ def sweep_products(limit):
         mp.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka, kb)) or kernel(ka, kb))
         for k in range(4, 9):
             power_card_sequence(k, limit)
-            brute_card(k, limit - 1)
+            sym_power(k, limit - 1)
     return [(ka, kb, unsliced(ka, kb)) for ka, kb in calls]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_sliced_kernel_equals_unsliced_on_power_steps(monkeypatch, chunk):
     """Every product of the sweeps of k = 4..8 up to n = 64 and of
-    brute_card(k, 63), whose last step at k = 8 has 85 952 pairs, cut
+    sym_power(k, 63), whose last step at k = 8 has 85 952 pairs, cut
     into slices of about chunk sums.  A slice costs about 15 us however
     few sums it holds, so chunks 1 and 7 stop at n = 32 and 31."""
     steps = sweep_products(32 if chunk < 64 else 64)
@@ -386,21 +386,21 @@ def test_sliced_kernel_mixes_early_and_full_scans(monkeypatch):
 
 
 def test_products_after_a_zero_bit_cancel_nothing_below_k_16(monkeypatch):
-    """In brute_card(k, n) a product that follows a 0-bit of n is
+    """In sym_power(k, n) a product that follows a 0-bit of n is
     H**(4i) * H: fourth powers x**4 times h <= k.  Below k = 16 no two
     of its sums are equal, so it cancels nothing.  At k = 16 some do,
     the first at n = 5 (16 / 1 = 2**4), so the kernel checks rather
     than assumes.  For n < 128 these are the products with 4i + 1 < 128,
-    each the last step of brute_card(k, 4i + 1); power 127 itself is
+    each the last step of sym_power(k, 4i + 1); power 127 itself is
     over the cap at k = 15."""
     kernel = core._toggle_sums
     calls = []
     monkeypatch.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka.size * kb.size, len(r := kernel(ka, kb)))) or r)
 
     def after_zero(k, n):
-        """(pairs, output length) of each product after a 0-bit in brute_card(k, n)."""
+        """(pairs, output length) of each product after a 0-bit in sym_power(k, n)."""
         calls.clear()
-        brute_card(k, n)
+        sym_power(k, n)
         bits = bin(n)[2:]
         products = [i for i in range(1, len(bits)) if bits[i] == "1"]
         assert len(calls) == len(products)
@@ -445,6 +445,62 @@ def test_element_cap_enforced(monkeypatch):
     message = "symmetric product needs 4512 pairwise products, over the guard 2000"
     with pytest.raises(SizeLimitError, match=message):
         power_card_sequence(8, 63)
+
+
+def test_brute_card_counts_what_sym_power_builds():
+    """brute_card counts a(n) from H**h by square classes; sym_power
+    builds H**n by plain square-and-multiply with the whole base set.
+    Odd n, even n and powers of two, up to k = 16, where products
+    cancel."""
+    for k in range(1, 17):
+        indices = list(range(34)) + ([47, 48, 63, 64, 96, 127, 128] if k <= 8 else [])
+        assert [brute_card(k, n) for n in indices] == [len(sym_power(k, n)) for n in indices], k
+    # the packed path at n = 2**61 + 1, with h = 2**60
+    assert brute_card(2, 2**61 + 1) == len(sym_power(2, 2**61 + 1)) == 4
+
+
+def test_brute_card_refuses_as_sym_power_does(monkeypatch):
+    """The same SizeLimitError message as sym_power, which refuses as
+    brute_card did when it built H**n: the cap on the powers up to
+    H**h or on a(n), and the pair guard inside H**h or on the last
+    product H**(2h) * H."""
+
+    def refusal(fn, *args, **kw):
+        with pytest.raises(SizeLimitError) as exc:
+            fn(*args, **kw)
+        return str(exc.value)
+
+    # a(7) = a(14) = a(28) = 296 is over the cap; 63 and 62 refuse at H**7 while building H**h
+    for n in (7, 14, 28, 63, 62):
+        message = refusal(brute_card, 8, n, max_elements=100)
+        assert message == refusal(sym_power, 8, n, max_elements=100)
+        assert message == "symmetric power reached 296 elements, over the cap 100"
+    assert refusal(brute_card, 4, 5, max_elements=1) == "symmetric power reached 4 elements, over the cap 1"
+    assert refusal(brute_card, 4, 8, max_elements=1) == refusal(sym_power, 4, 8, max_elements=1)
+    assert brute_card(8, 12, max_elements=100) == 48
+    monkeypatch.setattr(core, "_PAIR_GUARD", 2000)
+    # n = 63 trips on H**14 * H inside H**31; n = 30 = 15 * 2 on its last product, the 296 * 8 pairs of H**14 * H
+    for n in (63, 30):
+        message = refusal(brute_card, 8, n)
+        assert message == refusal(sym_power, 8, n)
+        assert message == "symmetric product needs 2368 pairwise products, over the guard 2000"
+    assert brute_card(8, 28) == len(sym_power(8, 28)) == 296  # the last product is H**6 * H, 48 * 8 pairs
+
+
+def test_brute_card_last_step_multiplies_by_q2_only(monkeypatch):
+    """At k = 8 the square classes are four of {c} and two of c * {1, 2},
+    so after building H**127 brute_card(8, 255) forms one more product,
+    H**127 * {1, 2}, and counts 4|H**127| + 2|H**127 * {1, 2}|."""
+    kernel = core._toggle_sums
+    calls = []
+    monkeypatch.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka, kb)) or kernel(ka, kb))
+    card = brute_card(8, 255)
+    monkeypatch.undo()
+    assert card == len(sym_power(8, 255))
+    assert len(calls) == 7 and [kb.size for _, kb in calls] == [8] * 6 + [2]
+    power, q2 = calls[-1]
+    assert power.size == brute_card(8, 127) and q2.tolist() == [0, 1]  # the keys of 1 and 2
+    assert card == 4 * power.size + 2 * kernel(power, q2).size
 
 
 def test_check_sequence_cap_raises_what_the_sweep_raises(monkeypatch):
