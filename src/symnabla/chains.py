@@ -42,7 +42,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .core import DEFAULT_ELEMENT_CAP, ElementVec, SymSet, make_base_set
-from .core import _base_keys, _check_cap, _check_pairs, _times_keys, _unpack
+from .core import _base_keys, _check_cap, _check_pairs, _run_edges, _run_starts, _times_keys, _unpack
 from .errors import DomainError, SizeLimitError
 
 ChainKind = Literal["A", "B", "C"]
@@ -151,11 +151,12 @@ _KINDS: tuple[ChainKind, ...] = ("A", "B", "C")
 _Runs = dict[ChainKind, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _split_runs(new_group: np.ndarray, e2: np.ndarray, k: int) -> _Runs:
+def _split_runs(edge: np.ndarray, e2: np.ndarray, k: int) -> _Runs:
     """Split members sorted by (odd part, exponent of 2) into runs, A
-    phase first, then B (k = 8 only), then C.  new_group marks the first
-    member of each odd part (group) and e2 holds the exponents of 2."""
-    group = np.cumsum(new_group) - 1
+    phase first, then B (k = 8 only), then C.  edge is the ``_run_edges``
+    mask of the odd parts, marking the first member of each group, and
+    e2 holds the exponents of 2."""
+    group = np.cumsum(edge[:-1]) - 1
     empty = np.empty(0, dtype=np.int64)
     runs: _Runs = {"B": (empty, empty, empty)}
     for kind in ("A", "B") if k == 8 else ("A",):
@@ -184,18 +185,16 @@ def _chain_runs(s: SymSet) -> tuple[np.ndarray, _Runs]:
         raise DomainError("cannot decompose the empty set")
     exps = s.exponents
     rest = exps[:, 1:]
-    new_group = np.ones(len(exps), dtype=bool)
-    np.any(rest[1:] != rest[:-1], axis=1, out=new_group[1:])
-    return rest[new_group], _split_runs(new_group, exps[:, 0], s.k)
+    edge = _run_edges(rest)
+    return rest[_run_starts(edge)], _split_runs(edge, exps[:, 0], s.k)
 
 
 def _key_runs(keys: np.ndarray, w: int, k: int) -> tuple[np.ndarray, _Runs]:
     """``_chain_runs`` for sorted keys whose lowest field, w bits wide,
     is the exponent of 2: the odd part is key >> w."""
     odd = keys >> w
-    new_group = np.ones(len(keys), dtype=bool)
-    np.not_equal(odd[1:], odd[:-1], out=new_group[1:])
-    return odd[new_group], _split_runs(new_group, keys & ((1 << w) - 1), k)
+    edge = _run_edges(odd)
+    return odd[_run_starts(edge)], _split_runs(edge, keys & ((1 << w) - 1), k)
 
 
 def _census(k: int, runs: _Runs) -> StructVec:

@@ -244,7 +244,7 @@ def _sparse_values(k: int, count: int) -> list[int]:
     if count == 0:
         return []
     terms = sparse_terms(k)
-    values = [next(terms)]  # raises for a k outside 2..8
+    values = [next(terms)]  # raises for a k outside 1..8
     cap = DEFAULT_ELEMENT_CAP
     digits = count
     if count <= cap:

@@ -13,16 +13,16 @@ commutative ring:
   product reached an even number of times vanishes.
 
 An integer product is an exponent-vector sum, so the real work is
-multiplicity-parity bookkeeping over pairwise vector sums: rows are
-packed into 64-bit integer keys (one bit field per prime, sized to the
-operation at hand), the key array is sorted, and runs of equal keys are
-kept or dropped by the parity of their length; when no key repeats,
-the sorted keys are the result as they stand.  One kernel,
-``_toggle_sums``, does this for every packed product; past
-``_CHUNK_KEYS`` sums it works one output key range at a time, so its
-buffers stay near that size.  If the fields ever outgrow 63 bits the
-code falls back to row-wise reduction; results are identical, only
-slower.
+multiplicity-parity bookkeeping over pairwise vector sums.  One scan
+does it everywhere: sort, mark where runs of equal entries start
+(``_run_edges``) and keep the first entry of each run, or of each odd
+run (``_run_starts``).  Rows are packed into 64-bit keys, one bit field
+per prime sized to the operation at hand; when no key repeats, the
+sorted keys are the result as they stand.  One kernel,
+``_toggle_sums``, does this for every packed product, one output key
+range at a time past ``_CHUNK_KEYS`` sums, so its buffers stay near
+that size.  Rows whose fields would outgrow 63 bits go through the same
+scan in canonical row order: identical results, only slower.
 
 The object of interest downstream is the n-th symmetric power of the
 base set {1, ..., k}, whose cardinality as a function of n the chain and
@@ -168,30 +168,46 @@ def _unpack(keys: np.ndarray, maxima: Iterable[int]) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _run_edges(a: np.ndarray) -> np.ndarray:
+    """Run-boundary mask of sorted keys or canonical rows: True where an
+    entry starts a run (a row does when any column differs from the row
+    before, so rows without columns are one run), plus a True sentinel
+    past each end."""
+    edge = np.empty(len(a) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    if a.ndim == 1:
+        np.not_equal(a[1:], a[:-1], out=edge[1:-1])
+    else:
+        np.any(a[1:] != a[:-1], axis=1, out=edge[1:-1])
+    return edge
+
+
+def _run_starts(edge: np.ndarray, odd: bool = False) -> np.ndarray:
+    """First index of every run of a ``_run_edges`` mask, or of every odd
+    run: its bounds differ in the low bit, which a uint8 cast keeps."""
+    bounds = np.flatnonzero(edge)
+    if not odd:
+        return bounds[:-1]
+    low = bounds.astype(np.uint8)
+    return bounds[:-1][((low[1:] ^ low[:-1]) & 1).view(bool)]
+
+
 def _parity_sorted(keys: np.ndarray) -> np.ndarray:
     """Keys occurring an odd number of times, assuming sorted input.
 
-    One neighbour-compare mask, with a sentinel at each end, marks the
-    run boundaries.  When no two neighbours are equal every key is its
-    own run and the keys come back as they are: the caller's array
-    itself, which is safe because every caller passes a fresh buffer.
-    In sym_power at k <= 15 every product that follows a 0-bit of n
-    is such a case: it multiplies fourth powers x**4 by h <= k, and
-    x**4 * h = y**4 * h' needs h / h' to be a fourth power.  At k = 16
-    some cancel (16 / 1 = 2**4), so the mask is always checked rather
-    than the case assumed.  Otherwise a run is odd when its two
-    boundaries differ in the lowest bit; the uint8 cast keeps that bit
-    and makes the test one byte-wide pass.
+    When no two neighbours are equal every key is its own run and the
+    keys come back as they are: the caller's array itself, which is
+    safe because every caller passes a fresh buffer.  In sym_power at
+    k <= 15 every product that follows a 0-bit of n is such a case: it
+    multiplies fourth powers x**4 by h <= k, and x**4 * h = y**4 * h'
+    needs h / h' to be a fourth power.  At k = 16 some cancel
+    (16 / 1 = 2**4), so the mask is always checked rather than the case
+    assumed.
     """
-    edge = np.empty(keys.size + 1, dtype=bool)
-    edge[0] = edge[-1] = True
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    edge = _run_edges(keys)
     if edge.all():
         return keys
-    bounds = np.flatnonzero(edge)
-    low = bounds.astype(np.uint8)
-    odd = ((low[1:] ^ low[:-1]) & 1).view(bool)
-    return keys[bounds[:-1][odd]]
+    return keys[_run_starts(edge, odd=True)]
 
 
 def _toggle_sums(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
@@ -239,22 +255,18 @@ def _toggle_sums(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
 
 def _parity_rows(exps: np.ndarray) -> np.ndarray:
     """Rows occurring an odd number of times, in canonical order."""
-    if exps.shape[0] == 0:
-        return exps
-    if exps.shape[1] == 0:
-        return exps[: exps.shape[0] % 2]
-    uniq, counts = np.unique(exps, axis=0, return_counts=True)
-    return _canonical(uniq[counts % 2 == 1])
+    rows = _canonical(exps)
+    return rows[_run_starts(_run_edges(rows), odd=True)]
 
 
 def _parity_reduce(exps: np.ndarray) -> np.ndarray:
     """Multiplicity-parity reduction of a row multiset, canonical order."""
-    if exps.shape[0] == 0 or exps.shape[1] == 0:
-        return _parity_rows(exps)
+    if exps.shape[0] == 0:
+        return exps
     maxima = exps.max(axis=0)
-    _, total = _field_shifts(maxima)
+    shifts, total = _field_shifts(maxima)
     if total <= 63:
-        keys = _pack(exps, _field_shifts(maxima)[0])
+        keys = _pack(exps, shifts)
         keys.sort(kind="stable")
         return _unpack(_parity_sorted(keys), maxima)
     return _parity_rows(exps)
@@ -321,11 +333,8 @@ class SymSet:
                 )
             if arr.size and (arr < 0).any():
                 raise DomainError("exponents must be non-negative")
-            if arr.shape[0] > 1:
-                if arr.shape[1] == 0:
-                    arr = arr[:1]
-                else:
-                    arr = _canonical(np.unique(arr, axis=0))
+            arr = _canonical(arr)
+            arr = arr[_run_starts(_run_edges(arr))]
         self._exps = arr
         self._exps.setflags(write=False)
 
@@ -386,10 +395,6 @@ class SymSet:
                 row = np.asarray(_factor(int(item), self.basis), dtype=np.int64)
             except DomainError:
                 return False
-        if self._exps.shape[0] == 0:
-            return False
-        if self._exps.shape[1] == 0:
-            return True
         return bool(np.all(self._exps == row, axis=1).any())
 
     def __eq__(self, other) -> bool:
@@ -469,9 +474,6 @@ def sym_prod(a: SymSet, b: SymSet) -> SymSet:
         ea, eb = eb, ea
     m, p = ea.shape[0], eb.shape[0]
     _check_pairs(m, p)
-    if ea.shape[1] == 0:
-        # Only {1} is representable over an empty basis; {1}*{1} == {1}.
-        return SymSet(a.k, ea[:1], _internal=True)
     maxima = ea.max(axis=0) + eb.max(axis=0)
     if (maxima < 0).any():  # a column sum reached 2**63 and wrapped
         top = max(int(x) + int(y) for x, y in zip(ea.max(axis=0), eb.max(axis=0)))

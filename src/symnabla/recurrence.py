@@ -4,10 +4,10 @@ Let term(k, n) be the cardinality of the n-th symmetric power of
 {1, ..., k}.  Everything here reproduces that number from the binary
 expansion of n without building any sets.
 
-a_k is 2-regular, and one minimal linear representation per k in 2..8
+a_k is 2-regular, and one minimal linear representation per k in 1..8
 (``_representation``) carries every per-index engine but the chain
 word: V(n) = (a(n), a(n.1), a(n.11)) cut to the rank r (1 for
-k = 2, 3, 2 for k = 4..7, 3 at k = 8), V(2n + b) = A_b V(n) and
+k = 1..3, 2 for k = 4..7, 3 at k = 8), V(2n + b) = A_b V(n) and
 V(0) = (a(0), a(1), a(3)) cut the same way.  Its rows are the value rules of ``_value_rules``, whose
 coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
 ``_RULE_COEFFS``.
@@ -95,6 +95,7 @@ from .errors import DomainError, SizeLimitError
 # sparse(t) = seeds[t] while available, then
 # sparse(t) = sum(coeffs[i] * sparse(t - 1 - i)).
 _SPARSE_RECURRENCES: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
+    1: ((1,), (1,)),
     2: ((1,), (2,)),
     3: ((1,), (3,)),
     4: ((1, 4), (2, 4)),
@@ -109,7 +110,7 @@ def sparse_terms(k: int) -> Iterator[int]:
     """term(k, 2**t - 1) for t = 0, 1, 2, ... without end: V(0) stepped
     by A1 of ``_representation``.  All rows of A1 but the last are unit
     shifts, so a step shifts V up and appends one dot product with the
-    last row.  A k outside 2..8 raises on the first term."""
+    last row.  A k outside 1..8 raises on the first term."""
     v, _, step = _representation(k)
     last = step[-1]
     while True:
@@ -158,8 +159,6 @@ def fast_term(k: int, n: int) -> int:
         raise DomainError(f"fast_term supports k in 1..7, got {k}")
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    if k == 1:
-        return 1
     runs = Counter(map(len, filter(None, bin(n)[2:].split("0"))))
     values = _sparse_values(k, runs)
     result = 1
@@ -186,7 +185,7 @@ def gap_split_check(k: int, alpha: int, beta: int, s: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Gap-split matrix words: the chain word (k = 4..8) and the minimal
-# representation (k = 2..8)
+# representation (k = 1..8)
 
 
 def _product(values: Iterable[int]) -> int:
@@ -313,7 +312,7 @@ def _sweep_array(k: int, limit: int, max_elements: int) -> np.ndarray:
         raise SizeLimitError(
             f"the sweep would hold {limit + 1} terms, over the cap {max_elements}"
         )
-    fixed = k == 1 or sparse_term(k, int(limit).bit_length()) < 2**64
+    fixed = sparse_term(k, int(limit).bit_length()) < 2**64
     return np.empty(limit + 1, dtype=np.int64 if fixed else object)
 
 
@@ -740,19 +739,19 @@ def reduce_term(
 @cache
 def _value_rules(k: int) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
     """a_k's minimal linear representation, read as value rules for
-    k in 2..8: (suffix, ((c, t), ...)) means
+    k in 1..8: (suffix, ((c, t), ...)) means
     a(m.suffix) = sum of c * a(m.1**t), for every m >= 0, where m.w is
     the index whose binary expansion is m's followed by the bits w.
 
     The rules cover every residue of n > 0 and each child has at most
     (n - 1) / 2 or, for the 0 suffix, n / 2.  Every coefficient is a
-    table's: a(2m) = a(m) is ``strip_zeros``; for k = 2, 3 the odd rule
+    table's: a(2m) = a(m) is ``strip_zeros``; for k = 1..3 the odd rule
     is the sparse recurrence; for k = 4..7, a(4m + 1) = a(1) a(m) and
     the 11 rule is the sparse recurrence; at k = 8 the 01, 011 and 111
     rules are ``suffix_01``, ``suffix_011`` and ``block_111`` at bit 0.
     """
     if k not in _SPARSE_RECURRENCES:
-        raise DomainError(f"sparse recurrences cover k in 2..8, got {k}")
+        raise DomainError(f"sparse recurrences cover k in 1..8, got {k}")
     seeds, coeffs = _SPARSE_RECURRENCES[k]
     rules = [("0", _RULE_COEFFS["strip_zeros"], (0,))]
     if k <= 3:
@@ -770,11 +769,11 @@ def _value_rules(k: int) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
 
 @cache
 def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
-    """a_k's minimal linear representation (V(0), A0, A1) for k in 2..8,
+    """a_k's minimal linear representation (V(0), A0, A1) for k in 1..8,
     read off ``_value_rules(k)``.
 
     V(n) = (a(n), a(n.1), ..., a(n.1**(r-1))) has r = 1, 2, 3 components
-    for k = 2..3, 4..7, 8, and V(2n + b) = A_b V(n).  Row i of A0 is the
+    for k = 1..3, 4..7, 8, and V(2n + b) = A_b V(n).  Row i of A0 is the
     rule for the suffix 0.1**i; A1 shifts V up by one and its last row
     is the rule for 1**r.  V(0) = (a(0), a(1), a(3), ...) is the sparse
     table's seeds.  So a(n) is the first component of the word of n,
@@ -801,14 +800,10 @@ def term_range(k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -
     Sweeps ``_value_rules`` from the one seed a(0) = 1, a doubling
     [lo, 2 lo - 1] at a time: every child of an index there lies below
     lo, so each rule is one strided-slice expression per doubling.
-    At k = 1 every term is 1.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"term_range covers k in 1..8, got {k}")
     values = _sweep_array(k, limit, max_elements)
-    if k == 1:
-        values.fill(1)
-        return _unsigned(values)
     values[0] = _SPARSE_RECURRENCES[k][0][0]
     lo = 1
     while lo <= limit:

@@ -126,7 +126,7 @@ def test_sparse_csv_and_json(capsys):
 
 def test_sparse_count_is_bounded_before_any_term(capsys, monkeypatch):
     # the digit bound holds for every k: term t has at most floor(t log10 k) + 1 digits
-    for k in range(2, 9):
+    for k in range(1, 9):
         for count in (1, 2, 5, 60, 300):
             values = cli._sparse_values(k, count)
             digits = sum(len(str(v)) for v in values)
@@ -149,7 +149,7 @@ def test_sparse_count_is_bounded_before_any_term(capsys, monkeypatch):
         assert (code, out) == (3, "") and "over the cap 16777216" in err
     assert drawn == [0, 0, 0]  # only the first term, which checks k
     code, _, err = run_cli(capsys, "sparse", "--k", "9", "--count", str(10**6))
-    assert code == 2 and "k in 2..8" in err
+    assert code == 2 and "k in 1..8" in err
     # count 0 prints an empty sequence for any k, as before the bound
     code, out, _ = run_cli(capsys, "sparse", "--k", "1", "--count", "0", "--format", "json")
     assert (code, out) == (0, '{"k": 1, "values": []}\n')

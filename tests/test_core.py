@@ -354,22 +354,56 @@ def test_sliced_kernel_on_random_keys(monkeypatch):
             assert got.dtype == np.int64 and np.array_equal(got, unsliced(ka, kb))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(-(2**62), 2**62), st.integers(1, 9)), max_size=40))
-@example([])
-@example([(5, 1)])
-@example([(v, 1) for v in range(30)])  # all distinct
-@example([(7, 8)])  # all equal, an even count
-@example([(7, 9)])  # all equal, an odd count
-def test_parity_scan_matches_counting(runs):
-    """Runs of 1 to 9 equal keys, sorted: the scan keeps the keys of odd
-    runs, and hands back its own input when no key repeats."""
-    values = np.array([v for v, _ in runs], dtype=np.int64)
-    keys = np.sort(np.repeat(values, np.array([c for _, c in runs], dtype=np.int64)))
-    uniq, counts = np.unique(keys, return_counts=True)
-    got = core._parity_sorted(keys)
-    assert got.dtype == np.int64 and np.array_equal(got, uniq[counts % 2 == 1])
-    assert (got is keys) == (uniq.size == keys.size)
+# Row entries of the rows form: two columns of 2**62 or more need 126
+# bits, so no packed layout holds their sums.
+_ROW_ENTRIES = (0, 1, 2**62 - 1, 2**62, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-(2**62), 2**62), st.integers(1, 9)), max_size=40),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+@example([], None)
+@example([(5, 1)], None)
+@example([(v, 1) for v in range(30)], None)  # all distinct
+@example([(7, 8)], None)  # all equal, an even count
+@example([(7, 9)], None)  # all equal, an odd count
+@example([], 2)  # no rows
+@example([(5, 3)], 0)  # no columns, an odd count
+@example([(5, 4)], 0)  # no columns, an even count
+@example([(7, 8)], 3)  # all rows equal, an even count
+@example([(7, 9)], 3)  # all rows equal, an odd count
+@example([(v, v % 3 + 1) for v in range(40)], 2)  # entries near 2**62 and 2**63
+def test_parity_scan_matches_counting(runs, cols):
+    """Keys form (cols None): runs of 1 to 9 equal keys, sorted; the scan
+    keeps the keys of odd runs, and hands back its own input when no key
+    repeats.  Rows form: each value picks a row of cols entries, the
+    multiset is shuffled, and the row scan keeps the rows of odd
+    multiplicity in canonical order (last column most significant),
+    while SymSet keeps every distinct row in that order."""
+    if cols is None:
+        values = np.array([v for v, _ in runs], dtype=np.int64)
+        keys = np.sort(np.repeat(values, np.array([c for _, c in runs], dtype=np.int64)))
+        uniq, counts = np.unique(keys, return_counts=True)
+        got = core._parity_sorted(keys)
+        assert got.dtype == np.int64 and np.array_equal(got, uniq[counts % 2 == 1])
+        assert (got is keys) == (uniq.size == keys.size)
+        return
+    rows = [
+        tuple(_ROW_ENTRIES[(abs(v) >> (3 * j)) % len(_ROW_ENTRIES)] for j in range(cols))
+        for v, count in runs
+        for _ in range(count)
+    ]
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), cols)
+    arr = arr[np.random.default_rng(len(rows)).permutation(len(rows))]
+    counts = Counter(rows)
+    canonical = sorted(counts, key=lambda row: row[::-1])
+    got = core._parity_rows(arr)
+    assert got.dtype == np.int64 and got.shape == (len(got), cols)
+    assert got.tolist() == [list(row) for row in canonical if counts[row] % 2]
+    k = {0: 1, 1: 2, 2: 3, 3: 5}[cols]  # the k whose basis has cols primes
+    assert SymSet(k, arr).exponents.tolist() == [list(row) for row in canonical]
 
 
 def test_sliced_kernel_mixes_early_and_full_scans(monkeypatch):
