@@ -21,8 +21,11 @@ per prime sized to the operation at hand; when no key repeats, the
 sorted keys are the result as they stand.  One kernel,
 ``_toggle_sums``, does this for every packed product, one output key
 range at a time past ``_CHUNK_KEYS`` sums, so its buffers stay near
-that size.  Rows whose fields would outgrow 63 bits go through the same
-scan in canonical row order: identical results, only slower.
+that size.  A factor of two consecutive keys, as Q_2 = {1, 2} is in
+every layout, needs no sort: its sums come out sorted, and only
+consecutive keys of the other factor cancel, in pairs.  Rows whose
+fields would outgrow 63 bits go through the same scan in canonical row
+order, block by block: identical results, only slower.
 
 The object of interest downstream is the n-th symmetric power of the
 base set {1, ..., k}, whose cardinality as a function of n the chain and
@@ -54,7 +57,9 @@ the class products it already formed to count a(2m+1), so it never
 multiplies by the base set.  It walks them depth first, as keys or,
 past 63 bits, as SymSets.  ``brute_card`` counts one index the same
 way: it builds S = H**h for n = (2h + 1) * 2**j by square-and-multiply
-and counts a(n) = a(2h + 1) from the class products of S.  The packed
+and counts a(n) = a(2h + 1) from the sizes of the class products of S.
+A class product that only counts is sized, not formed, wherever the
+factor is Q_2 (``_times_size``).  The packed
 {c} and Q_r of both are built once per k and key layout
 (``_class_factors``).  ``sym_power`` stays plain square-and-multiply
 with the whole base set, the oracle's independent cross-check.
@@ -90,7 +95,8 @@ _PAIR_GUARD = 1 << 28
 
 # Most sums _toggle_sums forms at once: a product of more pairs is cut
 # into output key slices of about this many sums (256 MiB of int64), and
-# the wide-row fallback of sym_prod reduces blocks of about a quarter.
+# the wide-row fallback of sym_prod reduces blocks of about a quarter as
+# many exponents.
 _CHUNK_KEYS = 1 << 25
 
 
@@ -210,13 +216,56 @@ def _parity_sorted(keys: np.ndarray) -> np.ndarray:
     return keys[_run_starts(edge, odd=True)]
 
 
+def _joins(ka: np.ndarray) -> int:
+    """How many i have ka[i] + 1 == ka[i + 1], counted _CHUNK_KEYS // 2
+    keys at a time, so that its temporaries stay within the kernel's
+    buffer size."""
+    step = max(1, _CHUNK_KEYS // 2)
+    joins = 0
+    for lo in range(0, ka.size - 1, step):
+        chunk = ka[lo : lo + step + 1]  # one key of overlap, so no pair is missed
+        joins += int(np.count_nonzero(chunk[1:] - chunk[:-1] == 1))
+    return joins
+
+
+def _pair_sums(ka: np.ndarray, x) -> np.ndarray:
+    """_toggle_sums(ka, [x, x + 1]) for strictly increasing ka, without a sort.
+
+    ka[i] + x < ka[i] + x + 1 <= ka[i + 1] + x, so the sums written key
+    by key are already sorted, and every run has one or two entries:
+    only ka[i] + x + 1 == ka[i + 1] + x repeats, where ka[i] and
+    ka[i + 1] are consecutive.  The survivors are the runs of one, an
+    entry that starts a run and whose successor starts one too.  Past
+    _CHUNK_KEYS sums ka is cut into slices of _CHUNK_KEYS // 2 keys, and
+    the keys on either side of a cut set the slice's end marks, so a
+    consecutive pair across the cut still cancels.
+    """
+    step = max(1, _CHUNK_KEYS // 2)
+    parts = []
+    for lo in range(0, max(ka.size, 1), step):  # an empty ka makes one empty slice
+        part = ka[lo : lo + step]
+        sums = np.empty((part.size, 2), dtype=np.int64)
+        np.add(part, x, out=sums[:, 0])
+        np.add(sums[:, 0], 1, out=sums[:, 1])
+        sums = sums.ravel()
+        edge = _run_edges(sums)
+        edge[0] = lo == 0 or ka[lo - 1] + 1 != part[0]
+        edge[-1] = lo + step >= ka.size or part[-1] + 1 != ka[lo + step]
+        parts.append(sums[edge[:-1] & edge[1:]])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _toggle_sums(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
     """Sorted keys hit an odd number of times by the sums ka[i] + kb[j].
 
-    The one packed product kernel.  ka and kb must be sorted and every
-    sum must fit the packed fields.  Copy j of ka shifted by kb[j] is a
-    sorted run, and a stable (merge-based) sort joins such runs about
-    twice as fast as the default quicksort.
+    The one packed product kernel.  ka and kb must be strictly
+    increasing, as the keys of a set are, and every sum must fit the
+    packed fields.  When kb is a pair {x, x + 1}, as Q_2 = {1, 2} is in
+    every layout, ``_pair_sums`` writes the sorted sums directly and
+    keeps the unrepeated ones: no sort and no run bounds.  Otherwise
+    copy j of ka shifted by kb[j] is a sorted run, and a stable
+    (merge-based) sort joins such runs about twice as fast as the
+    default quicksort.
 
     Up to _CHUNK_KEYS sums are formed, sorted and reduced at once.  Past
     that, with ka the longer operand, the output key range is cut into
@@ -231,6 +280,8 @@ def _toggle_sums(ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
     sample points in a slice, so a slice holds about pairs / s sums
     plus an eighth, and more only where one sum repeats that often.
     """
+    if kb.size == 2 and kb[1] - kb[0] == 1:
+        return _pair_sums(ka, kb[0])
     pairs = ka.size * kb.size
     if pairs <= _CHUNK_KEYS:
         out = np.add.outer(kb, ka).ravel()
@@ -486,16 +537,21 @@ def sym_prod(a: SymSet, b: SymSet) -> SymSet:
         # canonical row order makes both key arrays ascending
         keys = _toggle_sums(_pack(ea, shifts), _pack(eb, shifts))
         return SymSet(a.k, _unpack(keys, maxima), _internal=True)
-    # Wide-exponent fallback: reduce raw rows chunk by chunk.  Parity is
-    # additive mod 2, so reducing partial accumulations is sound.
-    acc = None
-    rows_per = max(1, _CHUNK_KEYS // (4 * p))
-    for i0 in range(0, m, rows_per):
-        block = (ea[i0 : i0 + rows_per, None, :] + eb[None, :, :]).reshape(
-            -1, ea.shape[1]
-        )
-        block = _parity_rows(block)
-        acc = block if acc is None else _parity_rows(np.concatenate([acc, block]))
+    # Wide-exponent fallback: reduce raw rows block by block, each block
+    # about _CHUNK_KEYS // 4 exponents whatever the column count.  Parity
+    # is additive mod 2, so reducing partial accumulations is sound.  The
+    # reduced blocks merge like a binary counter: after block t, pending
+    # parts that cover as many blocks as the newest merge into it, so a
+    # row is re-merged about log2(blocks) times, not once per block.
+    d = ea.shape[1]
+    rows_per = max(1, _CHUNK_KEYS // (4 * p * d))
+    pending = []
+    for t, i0 in enumerate(range(0, m, rows_per), 1):
+        part = _parity_rows((ea[i0 : i0 + rows_per, None, :] + eb[None, :, :]).reshape(-1, d))
+        for _ in range((t & -t).bit_length() - 1):
+            part = _parity_rows(np.concatenate([pending.pop(), part]))
+        pending.append(part)
+    acc = pending[0] if len(pending) == 1 else _parity_rows(np.concatenate(pending))
     return SymSet(a.k, acc, _internal=True)
 
 
@@ -553,6 +609,18 @@ def _times_keys(keys: np.ndarray, kb: np.ndarray) -> np.ndarray:
     """Product of a packed power by packed keys kb, under sym_prod's guard."""
     _check_pairs(keys.size, kb.size)
     return _toggle_sums(keys, kb)
+
+
+def _times_size(keys: np.ndarray, kb: np.ndarray) -> int:
+    """len(_times_keys(keys, kb)), under the same guard.
+
+    For kb = {x, x + 1} the product is not formed: each pair of
+    consecutive keys cancels two of the 2|keys| sums (``_pair_sums``).
+    """
+    if kb.size == 2 and kb[1] - kb[0] == 1:
+        _check_pairs(keys.size, 2)
+        return 2 * (keys.size - _joins(keys))
+    return _times_keys(keys, kb).size
 
 
 def _square_and_multiply(base, n: int, square, times, cap: int):
@@ -616,7 +684,10 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     does.  A square keeps the size of a set, so a(n) = a(2h + 1), which
     the square-class split of power_card_sequence counts from S: the sum
     over the classes of count * |S * Q_r|.  The last product of
-    sym_power, H**(2h) * H, and its j squares are never formed.
+    sym_power, H**(2h) * H, and its j squares are never formed, and the
+    class products are only sized (``_times_size``).  Every k >= 4 has
+    Q_2 = {1, 2} among its factors, and |S * Q_2| is read off the
+    consecutive keys of S without forming the product.
 
     The refusals are sym_power's, in its order: the cap on each power up
     to S, the pair guard on |S| * k pairs, the product sym_power forms
@@ -634,7 +705,7 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
         power = _square_and_multiply(kb, h, lambda keys: keys * 2, _times_keys, max_elements)
     _check_pairs(power.size, kb.size)
     card = sum(
-        count * (_times_keys(power, factors[r]).size if r > 1 else power.size)
+        count * (_times_size(power, factors[r]) if r > 1 else power.size)
         for r, count in _square_classes(k)
     )
     _check_cap(card, max_elements)
@@ -750,21 +821,23 @@ def power_card_sequence(
     P_r plus the key of c.  The powers m <= limit/2 are walked depth
     first from m = 0, a node's even child before its odd one, so about
     one power per bit length is pending.  A node keeps its P_r only
-    when H**(2m+1) is a node too.
+    when H**(2m+1) is a node too; otherwise, on packed keys, P_r is only
+    sized by ``_times_size``, which for Q_2 = {1, 2} forms nothing.
 
     No power over the cap is built, and a node whose indices lie past
     the first a(n) over the cap found so far is skipped.  After the walk
     the first a(n) over the cap in index order is refused.  S is sorted
     int64 keys, whose fields are sized for power limit, multiplied by
-    _times_keys; when that layout needs more than 63 bits, S is a
-    SymSet, squared by sym_square and multiplied by sym_prod, along the
-    same walk.
+    _times_keys or sized by _times_size; when that layout needs more
+    than 63 bits, S is a SymSet, squared by sym_square and multiplied
+    by sym_prod, along the same walk.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
     packed = _base_keys(make_base_set(k), limit)
     if packed is None:
         shifts, times, square = None, sym_prod, sym_square
+        size = lambda s, q: len(sym_prod(s, q))
 
         def odd_power(parts):
             rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
@@ -772,7 +845,7 @@ def power_card_sequence(
 
     else:
         shifts = tuple(_field_shifts(packed[1])[0].tolist())
-        times, square = _times_keys, (lambda s: s * 2)
+        times, size, square = _times_keys, _times_size, (lambda s: s * 2)
 
         def odd_power(parts):
             keys = _doubled_union(parts)
@@ -794,11 +867,11 @@ def power_card_sequence(
             keep = 2 * m + 1 <= limit // 2
             card, parts = 0, {}
             for r, count in _square_classes(k):
-                part = times(power, factors[r]) if r > 1 else power
-                card += count * len(part)
                 if keep:
-                    parts[r] = part
-                del part
+                    parts[r] = times(power, factors[r]) if r > 1 else power
+                    card += count * len(parts[r])
+                else:
+                    card += count * (size(power, factors[r]) if r > 1 else len(power))
             cards[2 * m + 1] = card
             if card > max_elements:
                 over = min(over, 2 * m + 1)

@@ -256,11 +256,14 @@ def test_wide_layout_sweep_matches_oracles(monkeypatch):
 @pytest.mark.parametrize("wide", [False, True])
 def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
     """Every product the sweep forms, on packed keys in _toggle_sums or,
-    with the layout forced wide, on SymSets in sym_prod, is H**m times
+    with the layout forced wide, on SymSets in sym_prod, and every
+    product it only sizes in _times_size on packed keys, is H**m times
     Q_r = {1, ..., r} with r > 1 and m <= limit/2, and H**m holds at
     most max_elements elements.  Without a cap every m with
-    2m + 1 <= limit is multiplied; with one the sweep refuses the first
-    a(n) over it."""
+    2m + 1 <= limit is multiplied or sized; with one the sweep refuses
+    the first a(n) over it.  Only a product whose odd power
+    H**(2m + 1) the sweep does not build, 2m + 1 > limit // 2, is
+    sized."""
     cases = [(4, 40, None), (8, 40, None), (9, 33, None), (8, 40, 300), (9, 33, 400)]
     expect = {}
     for k, limit, cap in cases:
@@ -270,33 +273,39 @@ def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
             shifts = core._field_shifts(core._base_keys(make_base_set(k), limit)[1])[0]
             sets = [core._pack(s.exponents, shifts) for s in sets]
         expect[k, limit] = sets, [brute_card(k, n) for n in range(limit + 1)]
-    seen = []
+    seen, sized = [], []
     if wide:
         prod = core.sym_prod
         monkeypatch.setattr(core, "_base_keys", lambda base, n: None)
         monkeypatch.setattr(core, "sym_prod", lambda a, b: seen.append((a, b)) or prod(a, b))
         same = SymSet.__eq__
     else:
-        kernel = core._toggle_sums
+        kernel, size = core._toggle_sums, core._times_size
         monkeypatch.setattr(core, "_toggle_sums", lambda a, b: seen.append((a, b)) or kernel(a, b))
+        monkeypatch.setattr(core, "_times_size", lambda a, b: sized.append((a, b)) or size(a, b))
         same = np.array_equal
     for k, limit, cap in cases:
         sets, cards = expect[k, limit]
         seen.clear()
+        sized.clear()
         if cap is None:
             assert power_card_sequence(k, limit) == cards
         else:
             first = next(card for card in cards if card > cap)
             with pytest.raises(SizeLimitError, match=f"reached {first} elements, over the cap {cap}"):
                 power_card_sequence(k, limit, max_elements=cap)
-        multiplied = set()
-        for a, b in seen:
-            (m,) = [m for m, s in enumerate(sets[: limit // 2 + 1]) if same(a, s)]
-            assert len(a) == cards[m] <= (cap or DEFAULT_ELEMENT_CAP)
-            assert [r for r, s in zip((2, 3), sets[limit // 2 + 1 :]) if same(b, s)] != []
-            multiplied.add(m)
+        formed, only_sized = set(), set()
+        for calls, ms in ((seen, formed), (sized, only_sized)):
+            for a, b in calls:
+                (m,) = [m for m, s in enumerate(sets[: limit // 2 + 1]) if same(a, s)]
+                assert len(a) == cards[m] <= (cap or DEFAULT_ELEMENT_CAP)
+                assert [r for r, s in zip((2, 3), sets[limit // 2 + 1 :]) if same(b, s)] != []
+                ms.add(m)
+        multiplied = formed | only_sized
         if cap is None:
             assert multiplied == set(range((limit - 1) // 2 + 1))
+        if not wide:
+            assert only_sized == {m for m in multiplied if 2 * m + 1 > limit // 2} != set()
 
 
 def unsliced(ka, kb):
@@ -410,13 +419,45 @@ def test_sliced_kernel_mixes_early_and_full_scans(monkeypatch):
     """Sums below 1000 are all distinct and sums above it collide, so
     with small slices some scans return their input and others cancel."""
     ka = np.concatenate([np.arange(50) * 10, 1000 + np.arange(50)])
-    kb = np.array([0, 1])
+    kb = np.array([0, 2])  # a pair {x, x + 1} would skip the sort and the slicer
     scan = core._parity_sorted
     distinct = []
     monkeypatch.setattr(core, "_parity_sorted", lambda keys: distinct.append((r := scan(keys)) is keys) or r)
     monkeypatch.setattr(core, "_CHUNK_KEYS", 20)
     assert np.array_equal(core._toggle_sums(ka, kb), unsliced(ka, kb))
     assert len(distinct) > 2 and True in distinct and False in distinct
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(2, 5), st.integers(1, 40)), min_size=1, max_size=12),
+    st.sampled_from([0, 2**62 - 2**12]),
+    st.sampled_from([0, 1, 5, 2**61]),
+)
+@example([(2, 1)], 0, 0)  # one key
+@example([(2, 1)], 2**62 - 2**12, 2**61)  # one key, sums just below 2**63
+@example([(2, 300)], 0, 0)  # one run of 300 consecutive keys: all but two sums cancel
+@example([(3, 40)] * 12, 2**62 - 2**12, 5)  # long runs near 2**62
+def test_pair_kernel_matches_counting(runs, start, x):
+    """kb = {x, x + 1} takes the kernel's path without a sort: runs of
+    consecutive keys, each run gap keys after the last, from start.  The
+    product and _times_size equal the counting reference at every slice
+    size, so a run that crosses a slice cut still cancels."""
+    keys, top = [], start
+    for gap, length in runs:
+        keys.extend(range(top + gap, top + gap + length))
+        top = keys[-1]
+    ka = np.array(keys, dtype=np.int64)
+    kb = np.array([x, x + 1], dtype=np.int64)
+    want = unsliced(ka, kb)
+    for chunk in (1, 7, 64, core._CHUNK_KEYS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_CHUNK_KEYS", chunk)
+            got = core._toggle_sums(ka, kb)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert core._times_size(ka, kb) == want.size
+    empty = core._toggle_sums(ka[:0], kb)
+    assert empty.dtype == np.int64 and empty.size == core._times_size(ka[:0], kb) == 0
 
 
 def test_products_after_a_zero_bit_cancel_nothing_below_k_16(monkeypatch):
@@ -523,16 +564,19 @@ def test_brute_card_refuses_as_sym_power_does(monkeypatch):
 
 def test_brute_card_last_step_multiplies_by_q2_only(monkeypatch):
     """At k = 8 the square classes are four of {c} and two of c * {1, 2},
-    so after building H**127 brute_card(8, 255) forms one more product,
-    H**127 * {1, 2}, and counts 4|H**127| + 2|H**127 * {1, 2}|."""
-    kernel = core._toggle_sums
-    calls = []
+    so after building H**127 brute_card(8, 255) sizes one more product,
+    H**127 * {1, 2}, without forming it, and counts
+    4|H**127| + 2|H**127 * {1, 2}|."""
+    kernel, size = core._toggle_sums, core._times_size
+    calls, sized = [], []
     monkeypatch.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka, kb)) or kernel(ka, kb))
+    monkeypatch.setattr(core, "_times_size", lambda ka, kb: sized.append((ka, kb)) or size(ka, kb))
     card = brute_card(8, 255)
     monkeypatch.undo()
     assert card == len(sym_power(8, 255))
-    assert len(calls) == 7 and [kb.size for _, kb in calls] == [8] * 6 + [2]
-    power, q2 = calls[-1]
+    assert len(calls) == 6 and [kb.size for _, kb in calls] == [8] * 6
+    assert len(sized) == 1
+    power, q2 = sized[0]
     assert power.size == brute_card(8, 127) and q2.tolist() == [0, 1]  # the keys of 1 and 2
     assert card == 4 * power.size + 2 * kernel(power, q2).size
 
@@ -694,6 +738,25 @@ def test_wide_exponents_use_row_fallback():
     got = sym_prod(a, b)
     assert got.values() == ref_prod_values(a.values(), b.values())
     assert sym_diff(a, b).values() == ref_diff_values(a.values(), b.values())
+
+
+def test_wide_row_blocks_merge_to_the_counted_product(monkeypatch):
+    """Two columns of 2**40 or more put the product past 63 bits; small
+    entries elsewhere make sums collide within and across blocks.  At
+    block sizes from one operand row up to the whole product, with odd
+    tails, the merged blocks keep exactly the rows of odd count."""
+    rng = np.random.default_rng(22)
+    k = 30
+    rows = rng.integers(0, 3, size=(60, len(core._basis_for(k))))
+    rows[:, :2] += 2**40 * rng.integers(0, 2, size=(60, 2))
+    a, b = SymSet(k, rows[:40]), SymSet(k, rows[25:])
+    counts = Counter(tuple(x + y) for x in a.exponents for y in b.exponents)
+    want = sorted((row for row, c in counts.items() if c % 2), key=lambda row: row[::-1])
+    assert core._field_shifts(a.exponents.max(axis=0) + b.exponents.max(axis=0))[1] > 63
+    for chunk in (1, 5000, 10**4, core._CHUNK_KEYS):
+        monkeypatch.setattr(core, "_CHUNK_KEYS", chunk)
+        assert sym_prod(a, b).exponents.tolist() == [list(row) for row in want]
+        assert sym_prod(b, a) == sym_prod(a, b)
 
 
 def test_operator_sugar():
