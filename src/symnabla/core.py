@@ -34,16 +34,18 @@ exponent rows of 1, ..., k and their column maxima are built once per k
 and kept read-only; ``make_base_set`` returns one shared SymSet per k,
 and the sets {1}, {c} and {1, ..., r} the power operations start from
 are slices of the same rows.  The power operations (``sym_power``,
-``brute_card``, ``power_card_sequence``) fix one key layout per call:
-each field holds n times the base set's largest exponent in its column,
-which bounds that exponent in every power 0..n.  The powers then stay
-sorted int64 keys from start to end:
-squaring doubles every key, multiplying by the base set goes through the
-same kernel as ``sym_prod``, and only ``sym_power`` unpacks, once, at
-the end.  A layout wider than 63 bits (k = 64 at n = 8, say) steps
-``SymSet`` values with ``sym_square`` and ``sym_prod`` instead, along
-the same steps.  Power sets grow fast, so the power operations take an
-element cap and raise SizeLimitError instead of exhausting memory.
+``brute_card``, ``power_card_sequence``) take one key layout per call
+from ``_layout``: each field holds n times the base set's largest
+exponent in its column, which bounds that exponent in every power
+0..n.  The powers then stay sorted int64 keys from start to end:
+squaring doubles every key, multiplying goes through the same kernel
+as ``sym_prod``, and only ``sym_power`` unpacks, once, at the end.  A
+layout wider than 63 bits (k = 64 at n = 8, say) holds ``SymSet``
+values instead, squared by ``sym_square`` and multiplied by
+``sym_prod``.  ``_layout`` is the one place that chooses, and each
+power operation runs one body in either layout.  Power sets grow fast,
+so the power operations take an element cap and raise SizeLimitError
+instead of exhausting memory.
 
 The dense sweep ``power_card_sequence`` uses the ring's characteristic
 2 twice.  With H = {1, ..., k} and S = H**m, H**(2m) is S with every
@@ -54,15 +56,16 @@ a(2m+1) = sum over c of |S * Q_r|, at k = 8 equal to
 4|S| + 2|S * {1, 2}|.  The sweep builds only the powers up to limit/2,
 each from its half: H**(2m) by doubling S, H**(2m+1) by one sort of
 the class products it already formed to count a(2m+1), so it never
-multiplies by the base set.  It walks them depth first, as keys or,
-past 63 bits, as SymSets.  ``brute_card`` counts one index the same
-way: it builds S = H**h for n = (2h + 1) * 2**j by square-and-multiply
-and counts a(n) = a(2h + 1) from the sizes of the class products of S.
-A class product that only counts is sized, not formed, wherever the
-factor is Q_2 (``_times_size``).  The packed
-{c} and Q_r of both are built once per k and key layout
-(``_class_factors``).  ``sym_power`` stays plain square-and-multiply
-with the whole base set, the oracle's independent cross-check.
+multiplies by the base set.  It walks them depth first.
+``brute_card`` counts one index the same way: it builds S = H**h for
+n = (2h + 1) * 2**j by square-and-multiply and counts
+a(n) = a(2h + 1) from the sizes of the class products of S.  The two
+share that count (``_class_count``).  On packed keys a class product
+that only counts is sized, not formed, wherever the factor is Q_2
+(``_times_size``).  The {c} and Q_r of both are built once per k and
+key layout (``_class_factors``).  ``sym_power`` stays plain
+square-and-multiply with the whole base set, the oracle's independent
+cross-check.
 
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
@@ -70,7 +73,7 @@ returns a new instance.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -635,43 +638,88 @@ def _square_and_multiply(base, n: int, square, times, cap: int):
     return result
 
 
-def _power(k: int, n: int, cap: int):
-    """The n-th power of {1, ..., k} and the field maxima of its keys.
+# The sets and operations of one key layout, as _layout returns them.
+_Layout = namedtuple("_Layout", "base square times size odd_power classes factors maxima")
 
-    On the key path the power comes back as sorted int64 keys.  Squaring
-    doubles every field, which keeps the keys sorted, and every
-    intermediate of square-and-multiply is a power <= n, so the fields
-    from _base_keys hold it.  When those fields need more than 63 bits
-    the power comes back as a SymSet from sym_square and sym_prod, with
-    maxima None.
+
+def _layout(k: int, n: int) -> _Layout:
+    """The one key layout of the powers 0..n of H = {1, ..., k}.
+
+    Fields sized by ``_base_keys`` hold every power 0..n as sorted int64
+    keys: squaring doubles every key, which keeps them sorted, a product
+    goes through ``_times_keys`` and is sized by ``_times_size``, and an
+    odd power is one stable sort of its doubled class runs.  When those
+    fields need more than 63 bits, the sets are SymSets, squared by
+    sym_square and multiplied and sized by sym_prod.  Every power
+    operation takes its layout from here and runs the same steps in
+    either.
+
+    The _Layout holds base, H in the layout; square(S), S**2;
+    times(S, Q), S * Q; size(S, Q), |S * Q|; odd_power(parts), the
+    disjoint union of the c * P**2 for (c, P) in parts; classes and
+    factors, those of ``_class_factors``; and maxima, the field maxima
+    of the keys, None for SymSets.
     """
-    if n < 0:
-        raise DomainError(f"power index must be >= 0, got {n}")
-    if n == 0:
-        return SymSet(k, _base_table(k)[0][:1], _internal=True), None
     base = make_base_set(k)
     packed = _base_keys(base, n)
     if packed is None:
-        return _square_and_multiply(base, n, sym_square, sym_prod, cap), None
+
+        def odd_rows(parts):
+            rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
+            return SymSet(k, _canonical(rows), _internal=True)
+
+        size = lambda s, q: len(sym_prod(s, q))
+        return _Layout(base, sym_square, sym_prod, size, odd_rows, *_class_factors(k, None), None)
     kb, maxima = packed
-    return _square_and_multiply(kb, n, lambda keys: keys * 2, _times_keys, cap), maxima
+
+    def odd_keys(parts):
+        keys = _doubled_union(parts)
+        keys.sort(kind="stable")  # one sorted run per class
+        return keys
+
+    sets = _class_factors(k, tuple(_field_shifts(maxima)[0].tolist()))
+    return _Layout(kb, lambda keys: keys * 2, _times_keys, _times_size, odd_keys, *sets, maxima)
+
+
+def _class_count(k: int, power, layout: _Layout, parts: dict | None = None) -> int:
+    """a(2m + 1) from S = power = H**m in layout: the sum over the square
+    classes (r, count) of count * |S * Q_r|, where S * Q_1 is S.
+
+    With a dict parts, the products are formed and kept there by r;
+    without, only the sizes of those with r > 1 are taken.
+    """
+    card = 0
+    for r, count in _square_classes(k):
+        if parts is None:
+            card += count * (layout.size(power, layout.factors[r]) if r > 1 else len(power))
+        else:
+            parts[r] = layout.times(power, layout.factors[r]) if r > 1 else power
+            card += count * len(parts[r])
+    return card
 
 
 def sym_power(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> SymSet:
     """n-th symmetric power of {1, ..., k} by square-and-multiply.
 
-    The power stays in sorted int64 keys from start to end, with field
-    widths fixed once from n, and is unpacked once, into canonical row
-    order.  Layouts wider than 63 bits (for example k = 64, n = 8) run
-    sym_square and sym_prod on SymSets instead.
+    Every step is a square or a product by the whole base set, in the
+    one layout of ``_layout`` for power n: as sorted int64 keys, unpacked
+    once at the end into canonical row order, or as SymSets when the
+    layout needs more than 63 bits (for example k = 64, n = 8).  It
+    builds every power on its path and none of brute_card's square
+    classes, so it is the oracle's independent cross-check.
 
     sym_power(k, 0) is the ring identity {1}.  Raises SizeLimitError if
     any intermediate power exceeds max_elements.
     """
-    power, maxima = _power(k, n, max_elements)
-    if maxima is None:
+    if n < 0:
+        raise DomainError(f"power index must be >= 0, got {n}")
+    if n == 0:
+        return SymSet(k, _base_table(k)[0][:1], _internal=True)
+    layout = _layout(k, n)
+    power = _square_and_multiply(layout.base, n, layout.square, layout.times, max_elements)
+    if layout.maxima is None:
         return power
-    return SymSet(k, _unpack(power, maxima), _internal=True)
+    return SymSet(k, _unpack(power, layout.maxima), _internal=True)
 
 
 def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> int:
@@ -679,35 +727,32 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
 
     This is the ground-truth oracle the structural methods are checked
     against.  It works for any k up to MAX_K, subject to the element
-    cap.  On packed keys it writes n = (2h + 1) * 2**j and builds only
-    S = H**h, by square-and-multiply with H = {1, ..., k} as sym_power
-    does.  A square keeps the size of a set, so a(n) = a(2h + 1), which
-    the square-class split of power_card_sequence counts from S: the sum
-    over the classes of count * |S * Q_r|.  The last product of
-    sym_power, H**(2h) * H, and its j squares are never formed, and the
-    class products are only sized (``_times_size``).  Every k >= 4 has
-    Q_2 = {1, 2} among its factors, and |S * Q_2| is read off the
-    consecutive keys of S without forming the product.
+    cap.  It writes n = (2h + 1) * 2**j and builds only S = H**h, by
+    square-and-multiply with H = {1, ..., k} as sym_power does, in the
+    layout of ``_layout`` for power n, packed or not.  A square keeps
+    the size of a set, so a(n) = a(2h + 1), which the square-class
+    split of power_card_sequence counts from S (``_class_count``): the
+    sum over the classes of count * |S * Q_r|.  The last product of
+    sym_power, H**(2h) * H, and its j squares are never formed, and of
+    the class products only the sizes are kept.  On packed keys every
+    k >= 4 has Q_2 = {1, 2} among its factors, and |S * Q_2| is read off
+    the consecutive keys of S without forming the product.  So n costs
+    what its odd part does: brute_card(2, 2**63) builds only H**0 = {1}
+    and returns 2.
 
     The refusals are sym_power's, in its order: the cap on each power up
     to S, the pair guard on |S| * k pairs, the product sym_power forms
-    next, then the cap on a(n).  When the layout needs more than 63
-    bits, the power is built as sym_power builds it and counted.
+    next, then the cap on a(n).  n <= 0 goes to sym_power itself.
     """
-    packed = _base_keys(make_base_set(k), n) if n > 0 else None
-    if packed is None:
-        return len(_power(k, n, max_elements)[0])
-    kb, maxima = packed
-    factors = _class_factors(k, tuple(_field_shifts(maxima)[0].tolist()))[1]
+    if n <= 0:
+        return len(sym_power(k, n, max_elements=max_elements))
+    layout = _layout(k, n)
     h = n // (n & -n) // 2  # the odd part of n is 2h + 1
-    power = factors[1]  # H**0 = Q_1 = {1}
+    power = layout.factors[1]  # H**0 = Q_1 = {1}
     if h:
-        power = _square_and_multiply(kb, h, lambda keys: keys * 2, _times_keys, max_elements)
-    _check_pairs(power.size, kb.size)
-    card = sum(
-        count * (_times_size(power, factors[r]) if r > 1 else power.size)
-        for r, count in _square_classes(k)
-    )
+        power = _square_and_multiply(layout.base, h, layout.square, layout.times, max_elements)
+    _check_pairs(len(power), k)
+    card = _class_count(k, power, layout)
     _check_cap(card, max_elements)
     return card
 
@@ -826,36 +871,16 @@ def power_card_sequence(
 
     No power over the cap is built, and a node whose indices lie past
     the first a(n) over the cap found so far is skipped.  After the walk
-    the first a(n) over the cap in index order is refused.  S is sorted
-    int64 keys, whose fields are sized for power limit, multiplied by
-    _times_keys or sized by _times_size; when that layout needs more
-    than 63 bits, S is a SymSet, squared by sym_square and multiplied
-    by sym_prod, along the same walk.
+    the first a(n) over the cap in index order is refused.  The powers
+    live in the layout of ``_layout`` for power limit: sorted int64 keys
+    or, past 63 bits, SymSets, along the same walk.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")
-    packed = _base_keys(make_base_set(k), limit)
-    if packed is None:
-        shifts, times, square = None, sym_prod, sym_square
-        size = lambda s, q: len(sym_prod(s, q))
-
-        def odd_power(parts):
-            rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
-            return SymSet(k, _canonical(rows), _internal=True)
-
-    else:
-        shifts = tuple(_field_shifts(packed[1])[0].tolist())
-        times, size, square = _times_keys, _times_size, (lambda s: s * 2)
-
-        def odd_power(parts):
-            keys = _doubled_union(parts)
-            keys.sort(kind="stable")  # one sorted run per class
-            return keys
-
-    classes, factors = _class_factors(k, shifts)
+    layout = _layout(k, limit)
     cards = [0] * (limit + 1)
     over = limit + 1  # the first index found over the cap
-    stack = [(0, factors[1])]  # H**0 = Q_1 = {1}
+    stack = [(0, layout.factors[1])]  # H**0 = Q_1 = {1}
     while stack:
         m, power = stack.pop()
         if 2 * m > over:
@@ -865,21 +890,16 @@ def power_card_sequence(
             over = min(over, 2 * m)
         if 2 * m + 1 < min(over, limit + 1):
             keep = 2 * m + 1 <= limit // 2
-            card, parts = 0, {}
-            for r, count in _square_classes(k):
-                if keep:
-                    parts[r] = times(power, factors[r]) if r > 1 else power
-                    card += count * len(parts[r])
-                else:
-                    card += count * (size(power, factors[r]) if r > 1 else len(power))
-            cards[2 * m + 1] = card
+            parts = {} if keep else None
+            card = cards[2 * m + 1] = _class_count(k, power, layout, parts)
             if card > max_elements:
                 over = min(over, 2 * m + 1)
             elif keep:
-                stack.append((2 * m + 1, odd_power([(c, parts[r]) for c, r in classes])))
+                odd = layout.odd_power([(c, parts[r]) for c, r in layout.classes])
+                stack.append((2 * m + 1, odd))
             del parts
         if 0 < 2 * m <= limit // 2:
-            stack.append((2 * m, square(power)))
+            stack.append((2 * m, layout.square(power)))
     if over <= limit:
         _check_cap(cards[over], max_elements)
     return cards

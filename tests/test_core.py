@@ -23,6 +23,7 @@ from symnabla.core import (
     sym_square,
 )
 from symnabla.errors import DomainError, SizeLimitError
+from symnabla.recurrence import term
 
 
 def ref_prod_values(avals, bvals):
@@ -209,7 +210,8 @@ def test_power_layout_boundary(monkeypatch):
     assert power_card_sequence(64, 7)[7] == 124788
     assert calls == []  # the key path never builds a SymSet product
     assert brute_card(64, 8) == 64
-    assert calls == ["sym_square"] * 3
+    # H**8 has the size of H**1, counted from S = H**0 = {1} by its products with Q_2, Q_3, Q_4, Q_5, Q_8
+    assert calls == ["sym_prod"] * 5
     # a sweep sizes its fields for its limit; the cap stops it at power 3
     # the wide sweep multiplies S = H**m by the five Q_r with r > 1 for a(1) and a(3),
     # then squares H**1 into H**2, a node that it skips, as the key sweep does
@@ -225,7 +227,7 @@ def test_power_layout_boundary(monkeypatch):
     assert sym_power(4, n) == SymSet(4, rows) and len(rows) == 16
     assert calls == []
     assert brute_card(4, 2**31) == 4
-    assert calls == ["sym_square"] * 31
+    assert calls == ["sym_prod"]  # {1} * Q_2, the one class product of k = 4 with r > 1
     monkeypatch.undo()
     assert sym_power(64, 7) == iterated_powers(64, 7)[7]
     assert sym_power(64, 8).values() == [v**8 for v in range(1, 65)]
@@ -235,15 +237,17 @@ def test_wide_layout_sweep_matches_oracles(monkeypatch):
     """Past 63 bits the sweep steps SymSets through the same square classes.
 
     k = 64 first needs more than 63 bits at limit 8 and k = 30 at limit
-    32.  k = 20 first does at limit 128, where a(125) is already over
-    the default cap, so its SymSet sweep is forced, as are k = 30 and 64
-    at smaller limits, against the set powers built one product at a time.
+    32; those sweeps are checked against sym_power, since brute_card
+    counts by the same square classes as the sweep.  k = 20 first does
+    at limit 128, where a(125) is already over the default cap, so its
+    SymSet sweep is forced, as are k = 30 and 64 at smaller limits,
+    against the set powers built one product at a time.
     """
     for k, limits in [(64, (8, 9)), (30, (33,))]:
-        brute = [brute_card(k, n) for n in range(max(limits) + 1)]
+        built = [len(sym_power(k, n)) for n in range(max(limits) + 1)]
         for limit in limits:
             assert core._base_keys(make_base_set(k), limit) is None
-            assert power_card_sequence(k, limit) == brute[: limit + 1]
+            assert power_card_sequence(k, limit) == built[: limit + 1]
     forced = [(20, 24), (30, 16), (64, 6)]
     want = {k: [len(s) for s in iterated_powers(k, limit)] for k, limit in forced}
     for k, limit in forced:
@@ -522,29 +526,56 @@ def test_element_cap_enforced(monkeypatch):
         power_card_sequence(8, 63)
 
 
+def outcome(fn, *args, **kw):
+    """fn's value, or the text of the SizeLimitError it raises."""
+    try:
+        return fn(*args, **kw)
+    except SizeLimitError as exc:
+        return str(exc)
+
+
+def wide_grid_outcomes(cap):
+    """brute_card's and sym_power's outcomes for k = 20, 30 and 64 at
+    n = 1..23 under cap.  k = 64 packs the powers up to 7 in 61 bits;
+    from n = 8 on its layout is wide and both build SymSets.  The caps
+    used stay at 10**5 and below, so no case builds H**15 of k = 64."""
+    assert [n for n in range(1, 24) if core._base_keys(make_base_set(64), n) is None] == list(range(8, 24))
+    assert all(core._base_keys(make_base_set(k), 23) is not None for k in (20, 30))
+    cases = [(k, n) for k in (20, 30, 64) for n in range(1, 24)]
+    brute = [outcome(brute_card, k, n, max_elements=cap) for k, n in cases]
+    built = [outcome(lambda: len(sym_power(k, n, max_elements=cap))) for k, n in cases]
+    return brute, built
+
+
 def test_brute_card_counts_what_sym_power_builds():
     """brute_card counts a(n) from H**h by square classes; sym_power
     builds H**n by plain square-and-multiply with the whole base set.
     Odd n, even n and powers of two, up to k = 16, where products
-    cancel."""
+    cancel, and k = 20, 30 and 64 in both layouts."""
     for k in range(1, 17):
         indices = list(range(34)) + ([47, 48, 63, 64, 96, 127, 128] if k <= 8 else [])
         assert [brute_card(k, n) for n in indices] == [len(sym_power(k, n)) for n in indices], k
     # the packed path at n = 2**61 + 1, with h = 2**60
     assert brute_card(2, 2**61 + 1) == len(sym_power(2, 2**61 + 1)) == 4
+    brute, built = wide_grid_outcomes(10**5)
+    assert brute == built
+    wide = brute[2 * 23 + 7 :]  # k = 64, n = 8..23
+    assert [card for card in wide if isinstance(card, int)] == [64, 4096, 3840, 2780, 64, 4096, 4096, 3840]
 
 
 def test_brute_card_refuses_as_sym_power_does(monkeypatch):
     """The same SizeLimitError message as sym_power, which refuses as
     brute_card did when it built H**n: the cap on the powers up to
     H**h or on a(n), and the pair guard inside H**h or on the last
-    product H**(2h) * H."""
+    product H**(2h) * H.  In both layouts, under caps and pair guards
+    that trip in each of them."""
 
     def refusal(fn, *args, **kw):
         with pytest.raises(SizeLimitError) as exc:
             fn(*args, **kw)
         return str(exc.value)
 
+    default_guard = core._PAIR_GUARD
     # a(7) = a(14) = a(28) = 296 is over the cap; 63 and 62 refuse at H**7 while building H**h
     for n in (7, 14, 28, 63, 62):
         message = refusal(brute_card, 8, n, max_elements=100)
@@ -560,6 +591,15 @@ def test_brute_card_refuses_as_sym_power_does(monkeypatch):
         assert message == refusal(sym_power, 8, n)
         assert message == "symmetric product needs 2368 pairwise products, over the guard 2000"
     assert brute_card(8, 28) == len(sym_power(8, 28)) == 296  # the last product is H**6 * H, 48 * 8 pairs
+    # k = 20, 30 and 64 at n = 1..23: the wide cases of k = 64 refuse both at the cap and at the guard
+    kinds = set()
+    for guard, caps in ((2000, (10**5, 1000, 100, 1)), (default_guard, (1000, 100, 1))):
+        monkeypatch.setattr(core, "_PAIR_GUARD", guard)
+        for cap in caps:
+            brute, built = wide_grid_outcomes(cap)
+            assert brute == built, (guard, cap)
+            kinds |= {card.split()[1] for card in brute[2 * 23 + 7 :] if isinstance(card, str)}
+    assert kinds == {"power", "product"}
 
 
 def test_brute_card_last_step_multiplies_by_q2_only(monkeypatch):
@@ -703,10 +743,11 @@ def test_square_is_self_product(sets):
 
 def test_square_refuses_exponents_past_int64():
     """Doubling an exponent of 2**62 would wrap int64 to a negative row."""
-    for fn in (sym_power, brute_card):
-        with pytest.raises(SizeLimitError, match="below 2\\*\\*62"):
-            fn(2, 2**63)
-    assert brute_card(2, 2**62) == 2  # the last squaring reaches 2**62 itself
+    with pytest.raises(SizeLimitError, match="below 2\\*\\*62"):
+        sym_power(2, 2**63)
+    assert brute_card(2, 2**62) == len(sym_power(2, 2**62)) == 2  # sym_power's last squaring reaches 2**62 itself
+    # brute_card builds only H**0 = {1} for n = 2**63 and never squares H**1 up to it
+    assert brute_card(2, 2**63) == term(2, 2**63) == 2
     with pytest.raises(SizeLimitError):
         sym_square(SymSet(2, [[2**62]]))
     assert sym_square(SymSet(2, [[2**62 - 1]])).exponents.tolist() == [[2**63 - 2]]
