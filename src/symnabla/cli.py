@@ -41,14 +41,7 @@ from .chains import (
     verify_transfer,
 )
 from .core import DEFAULT_ELEMENT_CAP, check_sequence_cap, power_card_sequence, sym_power
-from .errors import (
-    BFileFormatError,
-    BFileParseError,
-    CoverageError,
-    DomainError,
-    SizeLimitError,
-    TransportError,
-)
+from .errors import CoverageError, DomainError, SizeLimitError, SymnablaError
 from .oeis import catalogued_id, crosscheck, fetch_bfile, parse_bfile
 from .recurrence import (
     METHODS,
@@ -553,13 +546,7 @@ def main(argv=None) -> int:
     except (SizeLimitError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except (
-        DomainError,
-        BFileParseError,
-        BFileFormatError,
-        CoverageError,
-        TransportError,
-    ) as exc:
+    except SymnablaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

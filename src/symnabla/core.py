@@ -313,19 +313,6 @@ def _parity_rows(exps: np.ndarray) -> np.ndarray:
     return rows[_run_starts(_run_edges(rows), odd=True)]
 
 
-def _parity_reduce(exps: np.ndarray) -> np.ndarray:
-    """Multiplicity-parity reduction of a row multiset, canonical order."""
-    if exps.shape[0] == 0:
-        return exps
-    maxima = exps.max(axis=0)
-    shifts, total = _field_shifts(maxima)
-    if total <= 63:
-        keys = _pack(exps, shifts)
-        keys.sort(kind="stable")
-        return _unpack(_parity_sorted(keys), maxima)
-    return _parity_rows(exps)
-
-
 @dataclass(frozen=True)
 class ElementVec:
     """One set element as its exponent vector over a prime basis."""
@@ -506,7 +493,7 @@ def sym_diff(a: SymSet, b: SymSet) -> SymSet:
     """Symmetric difference: elements in exactly one operand."""
     _check_same_ring(a, b)
     merged = np.concatenate([a.exponents, b.exponents])
-    return SymSet(a.k, _parity_reduce(merged), _internal=True)
+    return SymSet(a.k, _parity_rows(merged), _internal=True)
 
 
 def sym_prod(a: SymSet, b: SymSet) -> SymSet:
@@ -729,7 +716,8 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     against.  It works for any k up to MAX_K, subject to the element
     cap.  It writes n = (2h + 1) * 2**j and builds only S = H**h, by
     square-and-multiply with H = {1, ..., k} as sym_power does, in the
-    layout of ``_layout`` for power n, packed or not.  A square keeps
+    layout of ``_layout`` for power 2h + 1, packed or not, so an even n
+    packs whenever its odd part does.  A square keeps
     the size of a set, so a(n) = a(2h + 1), which the square-class
     split of power_card_sequence counts from S (``_class_count``): the
     sum over the classes of count * |S * Q_r|.  The last product of
@@ -746,8 +734,8 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     """
     if n <= 0:
         return len(sym_power(k, n, max_elements=max_elements))
-    layout = _layout(k, n)
     h = n // (n & -n) // 2  # the odd part of n is 2h + 1
+    layout = _layout(k, 2 * h + 1)
     power = layout.factors[1]  # H**0 = Q_1 = {1}
     if h:
         power = _square_and_multiply(layout.base, h, layout.square, layout.times, max_elements)

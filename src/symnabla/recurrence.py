@@ -8,9 +8,9 @@ a_k is 2-regular, and one minimal linear representation per k in 1..8
 (``_representation``) carries every per-index engine but the chain
 word: V(n) = (a(n), a(n.1), a(n.11)) cut to the rank r (1 for
 k = 1..3, 2 for k = 4..7, 3 at k = 8), V(2n + b) = A_b V(n) and
-V(0) = (a(0), a(1), a(3)) cut the same way.  Its rows are the value rules of ``_value_rules``, whose
-coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
-``_RULE_COEFFS``.
+V(0) = (a(0), a(1), a(3)) cut the same way.  It is built from the two
+tables ``_SPARSE_RECURRENCES`` and ``_RULE_COEFFS``, and each of its
+rows is a value rule on the low bits of n.
 
 * ``sparse_term(k, t)``: the subsequence at the all-ones indices
   2**t - 1, the first component of A1**t V(0); ``sparse_terms`` steps
@@ -44,8 +44,8 @@ coefficients come from the two tables ``_SPARSE_RECURRENCES`` and
   0..limit, evaluated one bit length at a time on arrays, since every
   child has fewer bits than its parent;
 * ``term_range(k, limit)`` for k in 1..8: the default sweep.  The
-  value rules give every term of a doubling [lo, 2 lo - 1] from
-  earlier ones by a few strided slices.
+  representation's rows, read as value rules, give every term of a
+  doubling [lo, 2 lo - 1] from earlier ones by a few strided slices.
 
 The three sweeps run in int64, returned as uint64, while every value
 fits in 64 bits, and on Python ints beyond (``_sweep_array``).
@@ -733,82 +733,65 @@ def reduce_term(
 
 
 # ---------------------------------------------------------------------------
-# Value rules of the minimal representation (k = 1..8)
-
-
-@cache
-def _value_rules(k: int) -> tuple[tuple[str, tuple[tuple[int, int], ...]], ...]:
-    """a_k's minimal linear representation, read as value rules for
-    k in 1..8: (suffix, ((c, t), ...)) means
-    a(m.suffix) = sum of c * a(m.1**t), for every m >= 0, where m.w is
-    the index whose binary expansion is m's followed by the bits w.
-
-    The rules cover every residue of n > 0 and each child has at most
-    (n - 1) / 2 or, for the 0 suffix, n / 2.  Every coefficient is a
-    table's: a(2m) = a(m) is ``strip_zeros``; for k = 1..3 the odd rule
-    is the sparse recurrence; for k = 4..7, a(4m + 1) = a(1) a(m) and
-    the 11 rule is the sparse recurrence; at k = 8 the 01, 011 and 111
-    rules are ``suffix_01``, ``suffix_011`` and ``block_111`` at bit 0.
-    """
-    if k not in _SPARSE_RECURRENCES:
-        raise DomainError(f"sparse recurrences cover k in 1..8, got {k}")
-    seeds, coeffs = _SPARSE_RECURRENCES[k]
-    rules = [("0", _RULE_COEFFS["strip_zeros"], (0,))]
-    if k <= 3:
-        rules.append(("1", coeffs, (0,)))
-    elif k <= 7:
-        rules += [("01", seeds[1:2], (0,)), ("11", coeffs, (1, 0))]
-    else:
-        rules += [
-            ("01", _RULE_COEFFS["suffix_01"], (0,)),
-            ("011", _RULE_COEFFS["suffix_011"], (1, 0)),
-            ("111", _RULE_COEFFS["block_111"], (2, 1, 0)),
-        ]
-    return tuple((suffix, tuple(zip(cs, ts))) for suffix, cs, ts in rules)
+# The minimal representation (k = 1..8) and its sweep
 
 
 @cache
 def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
     """a_k's minimal linear representation (V(0), A0, A1) for k in 1..8,
-    read off ``_value_rules(k)``.
+    built from ``_SPARSE_RECURRENCES`` and ``_RULE_COEFFS``.
 
     V(n) = (a(n), a(n.1), ..., a(n.1**(r-1))) has r = 1, 2, 3 components
-    for k = 1..3, 4..7, 8, and V(2n + b) = A_b V(n).  Row i of A0 is the
-    rule for the suffix 0.1**i; A1 shifts V up by one and its last row
-    is the rule for 1**r.  V(0) = (a(0), a(1), a(3), ...) is the sparse
-    table's seeds.  So a(n) is the first component of the word of n,
-    and a(2**t - 1) that of A1**t V(0).
+    for k = 1..3, 4..7, 8, where m.w is the index whose binary expansion
+    is m's followed by the bits w, and V(2n + b) = A_b V(n).
+    V(0) = (a(0), a(1), a(3), ...) is the sparse table's seeds.  So a(n)
+    is the first component of the word of n, and a(2**t - 1) that of
+    A1**t V(0).
+
+    Each row is a value rule: the row c of the suffix w means
+    a(m.w) = sum of c[t] * a(m.1**t), for every m >= 0.  Row i of A0 is
+    the rule for the suffix 0.1**i: a(2m) = a(m) (``strip_zeros``), then
+    for r >= 2 a(4m + 1) = a(1) a(m), then at k = 8 ``suffix_011`` at
+    bit 0.  A1 shifts V up by one, and its last row, the rule for 1**r,
+    is the sparse recurrence (``block_111`` at k = 8).  The suffixes
+    cover every residue of n > 0 once, and a rule reads only columns t
+    below len(w), so each child of n is at most (n - 1) / 2 or, for the
+    0 suffix, n / 2.
     """
-    rules = dict(_value_rules(k))
-    r = len(rules) - 1
-
-    def row(suffix: str) -> tuple[int, ...]:
-        coeffs = [0] * r
-        for c, t in rules[suffix]:
-            coeffs[t] = c
-        return tuple(coeffs)
-
-    a0 = tuple(row("0" + "1" * i) for i in range(r))
-    a1 = mat_identity(r)[1:] + (row("1" * r),)
-    return _SPARSE_RECURRENCES[k][0], a0, a1
+    if k not in _SPARSE_RECURRENCES:
+        raise DomainError(f"sparse recurrences cover k in 1..8, got {k}")
+    seeds, coeffs = _SPARSE_RECURRENCES[k]
+    r = len(seeds)
+    # column 0 first; suffix_011 lists its children t = 1, 0
+    rows = ((1,), seeds[1:2], _RULE_COEFFS["suffix_011"][::-1])[:r]
+    a0 = tuple(row + (0,) * (r - len(row)) for row in rows)
+    a1 = mat_identity(r)[1:] + ((0,) * (r - len(coeffs)) + coeffs[::-1],)
+    return seeds, a0, a1
 
 
 def term_range(k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
     """term(k, n) for all n in 0..limit and k in 1..8, as a uint64 array
     (an object array past 64 bits, ``_sweep_array``).
 
-    Sweeps ``_value_rules`` from the one seed a(0) = 1, a doubling
-    [lo, 2 lo - 1] at a time: every child of an index there lies below
-    lo, so each rule is one strided-slice expression per doubling.
+    Sweeps the rows of ``_representation(k)`` as value rules from the
+    one seed a(0) = 1, a doubling [lo, 2 lo - 1] at a time: every child
+    of an index there lies below lo, so each rule is one strided-slice
+    expression per doubling, over the rule's nonzero columns.
     """
     if not 1 <= k <= 8:
         raise DomainError(f"term_range covers k in 1..8, got {k}")
+    initial, a0, a1 = _representation(k)
+    suffixes = ["0" + "1" * i for i in range(len(a0))] + ["1" * len(a1)]
+    rules = [
+        (suffix, [(row[t], t) for t in reversed(range(len(row))) if row[t]])
+        for suffix, row in zip(suffixes, a0 + a1[-1:])
+    ]
     values = _sweep_array(k, limit, max_elements)
-    values[0] = _SPARSE_RECURRENCES[k][0][0]
+    values[0] = initial[0]
     lo = 1
     while lo <= limit:
         hi = min(2 * lo - 1, limit)
-        for suffix, children in _value_rules(k):
+        for suffix, children in rules:
             s, r = len(suffix), int(suffix, 2)
             first = lo + (r - lo) % (1 << s)  # the first n >= lo of this suffix
             if first > hi:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import symnabla
 from symnabla import cli, recurrence
 from symnabla.cli import build_parser, main
-from symnabla.errors import SizeLimitError, TransportError
+from symnabla.errors import SizeLimitError, SymnablaError, TransportError
 from symnabla.oeis import parse_bfile
 from symnabla.recurrence import (
     METHODS,
@@ -489,6 +489,26 @@ def test_oeis_fetch_without_network_exits_2(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert "no network in tests" in err
+
+
+def test_every_package_error_exits_2_without_a_traceback(capsys, monkeypatch):
+    """main maps any SymnablaError to exit 2, a subclass it does not
+    name included; a SizeLimitError, also one, keeps exit 3."""
+
+    class NewError(SymnablaError):
+        pass
+
+    class NewCapError(SizeLimitError):
+        pass
+
+    for error, status in ((NewError, 2), (NewCapError, 3)):
+
+        def fail(args, error=error):
+            raise error("made up for the test")
+
+        monkeypatch.setattr(cli, "cmd_term", fail)
+        code, out, err = run_cli(capsys, "term", "--k", "8", "--n", "5")
+        assert (code, out, err) == (status, "", "error: made up for the test\n")
 
 
 def test_oeis_fetch_rejects_uncatalogued_k_before_io(capsys, tmp_path, monkeypatch):

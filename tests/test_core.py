@@ -193,7 +193,9 @@ def test_sequence_sweep_matches_per_index_oracle():
 def test_power_layout_boundary(monkeypatch):
     """k = 64 packs power 7 into 61 bits; power 8 needs 77, past int64.
 
-    k = 4 packs every power below 2**31 into exactly 63 bits.
+    k = 4 packs every power below 2**31 into exactly 63 bits.  brute_card
+    takes the layout of n's odd part, so only an odd part past the
+    boundary forms SymSet products.
     """
     calls = []
 
@@ -210,8 +212,15 @@ def test_power_layout_boundary(monkeypatch):
     assert power_card_sequence(64, 7)[7] == 124788
     assert calls == []  # the key path never builds a SymSet product
     assert brute_card(64, 8) == 64
-    # H**8 has the size of H**1, counted from S = H**0 = {1} by its products with Q_2, Q_3, Q_4, Q_5, Q_8
-    assert calls == ["sym_prod"] * 5
+    assert calls == []  # H**8 has the size of H**1, counted from S = H**0 = {1} in power 1's keys
+    assert brute_card(64, 9) == 4096
+    # power 9 is wide: S = H**4 is two squares, then its products with Q_2, Q_3, Q_4, Q_5, Q_8
+    assert calls == ["sym_square"] * 2 + ["sym_prod"] * 5
+    calls.clear()
+    assert core._base_keys(make_base_set(30), 62) is None
+    assert core._base_keys(make_base_set(30), 31) is not None
+    assert brute_card(30, 62) == brute_card(30, 31) == 6097190
+    assert calls == []  # power 62 is wide, but brute_card takes the layout of its odd part 31
     # a sweep sizes its fields for its limit; the cap stops it at power 3
     # the wide sweep multiplies S = H**m by the five Q_r with r > 1 for a(1) and a(3),
     # then squares H**1 into H**2, a node that it skips, as the key sweep does
@@ -227,7 +236,7 @@ def test_power_layout_boundary(monkeypatch):
     assert sym_power(4, n) == SymSet(4, rows) and len(rows) == 16
     assert calls == []
     assert brute_card(4, 2**31) == 4
-    assert calls == ["sym_prod"]  # {1} * Q_2, the one class product of k = 4 with r > 1
+    assert calls == []  # {1} * Q_2, the one class product of k = 4 with r > 1, packs
     monkeypatch.undo()
     assert sym_power(64, 7) == iterated_powers(64, 7)[7]
     assert sym_power(64, 8).values() == [v**8 for v in range(1, 65)]

@@ -27,12 +27,12 @@ from symnabla.recurrence import (
     CORE_RULES,
     OPTIONAL_RULES,
     ReductionTrace,
+    _RULE_COEFFS,
     _combine,
     _gap_width,
     _level_rules,
     _representation,
     _select_rule,
-    _value_rules,
     _word_state,
     annihilation_check,
     fast_term,
@@ -358,16 +358,30 @@ def _word_row(k, bits):
     return row
 
 
+def row_rules(k):
+    """(suffix, ((c, t), ...)) for each row of ``_representation(k)``,
+    read as the value rule a(m.suffix) = sum of c * a(m.1**t): row i of
+    A0 is the rule for the suffix 0.1**i and A1's last row the rule for
+    1**r, with a child at each nonzero column t, t descending."""
+    _, a0, a1 = _representation(k)
+    suffixes = ["0" + "1" * i for i in range(len(a0))] + ["1" * len(a1)]
+    return [
+        (suffix, tuple((row[t], t) for t in reversed(range(len(row))) if row[t]))
+        for suffix, row in zip(suffixes, a0 + a1[-1:])
+    ]
+
+
 def test_value_rules_are_identities_of_the_chain_word():
-    """Each value rule a(m.suffix) = sum of c * a(m.1**t) is an exact
-    identity of the word verify_transfer replays against sets, which
-    proves it for every m >= 1; its m = 0 instance is checked on the
-    brute oracle.  For k = 4..7 the rules are f.Q = f, f.S.Q = a(1) f
-    and the 11 row; at k = 8 the 01 row is 8 f and the 011 and 111 rows
-    are suffix_011 and block_111."""
+    """Each row of the minimal representation, read as the value rule
+    a(m.suffix) = sum of c * a(m.1**t), is an exact identity of the word
+    verify_transfer replays against sets, which proves it for every
+    m >= 1; its m = 0 instance is checked on the brute oracle.  For
+    k = 4..7 the rules are f.Q = f, f.S.Q = a(1) f and the 11 row; at
+    k = 8 the 01 row is 8 f and the 011 and 111 rows are suffix_011 and
+    block_111."""
     suffixes = {k: ("0", "01", "11") for k in range(4, 8)} | {8: ("0", "01", "011", "111")}
     for k in range(4, 9):
-        rules = _value_rules(k)
+        rules = row_rules(k)
         assert tuple(suffix for suffix, _ in rules) == suffixes[k]
         assert _word_row(k, "0") == cardinality_functional(k)
         assert _word_row(k, "01") == tuple(brute_card(k, 1) * x for x in cardinality_functional(k))
@@ -376,13 +390,42 @@ def test_value_rules_are_identities_of_the_chain_word():
             assert _word_row(k, suffix) == tuple(map(sum, zip(*rows)))
             m0 = sum(c * brute_card(k, (1 << t) - 1) for c, t in children)
             assert brute_card(k, int(suffix, 2)) == m0
+    rules = dict(row_rules(8))
+    assert rules["011"] == tuple(zip(_RULE_COEFFS["suffix_011"], (1, 0)))
+    assert rules["111"] == tuple(zip(_RULE_COEFFS["block_111"], (2, 1, 0)))
 
 
 def test_value_rules_cover_every_index_once():
-    for k in range(2, 9):
+    for k in range(1, 9):
         for n in range(1, 1 << 10):
-            hits = [s for s, _ in _value_rules(k) if n % (1 << len(s)) == int(s, 2)]
+            hits = [s for s, _ in row_rules(k) if n % (1 << len(s)) == int(s, 2)]
             assert len(hits) == 1
+
+
+def test_value_rules_read_only_earlier_doublings():
+    """A rule's children m.1**t have t below the suffix length, so every
+    child of an index n >= lo lies below lo: term_range fills a doubling
+    from earlier ones only."""
+    for k in range(1, 9):
+        rules = row_rules(k)
+        for suffix, children in rules:
+            assert children and all(0 <= t < len(suffix) for _, t in children), (k, suffix)
+        for n in range(1, 1 << 10):
+            lo = 1 << (n.bit_length() - 1)
+            for suffix, children in rules:
+                if n % (1 << len(suffix)) == int(suffix, 2):
+                    m = n >> len(suffix)
+                    assert all(((m + 1) << t) - 1 < lo for _, t in children), (k, n)
+
+
+def test_representation_at_k8_is_the_literal_table():
+    """V(0) is a(0), a(1), a(3); A0 is strip_zeros, suffix_01 and
+    suffix_011 at bit 0; A1 shifts and ends in block_111 reversed."""
+    assert _representation(8) == (
+        (1, 8, 48),
+        ((1, 0, 0), (8, 0, 0), (40, 1, 0)),
+        ((0, 1, 0), (0, 0, 1), (-24, -2, 7)),
+    )
 
 
 def test_term_range_equals_the_other_engines():
