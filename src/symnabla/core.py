@@ -56,7 +56,8 @@ a(2m+1) = sum over c of |S * Q_r|, at k = 8 equal to
 4|S| + 2|S * {1, 2}|.  The sweep builds only the powers up to limit/2,
 each from its half: H**(2m) by doubling S, H**(2m+1) by one sort of
 the class products it already formed to count a(2m+1), so it never
-multiplies by the base set.  It walks them depth first.
+multiplies by the base set.  It walks them depth first, odd child
+first.
 ``brute_card`` counts one index the same way: it builds S = H**h for
 n = (2h + 1) * 2**j by square-and-multiply and counts
 a(n) = a(2h + 1) from the sizes of the class products of S.  The two
@@ -852,8 +853,11 @@ def power_card_sequence(
     powers.  H**(2m) is S with every key doubled, and H**(2m+1) is the
     disjoint union of the c * P_r**2, one sort of the doubled keys of
     P_r plus the key of c.  The powers m <= limit/2 are walked depth
-    first from m = 0, a node's even child before its odd one, so about
-    one power per bit length is pending.  A node keeps its P_r only
+    first from m = 0, a node's odd child before its even one, so about
+    one power per bit length is pending.  The all-ones indices, where
+    the set sizes grow fastest, come first (1, 11, 111, ...), so a
+    capped sweep meets the first power over the cap after a number of
+    nodes that does not grow with the limit.  A node keeps its P_r only
     when H**(2m+1) is a node too; otherwise, on packed keys, P_r is only
     sized by ``_times_size``, which for Q_2 = {1, 2} forms nothing.
 
@@ -876,6 +880,7 @@ def power_card_sequence(
         cards[2 * m] = len(power)
         if cards[2 * m] > max_elements:
             over = min(over, 2 * m)
+        odd = None
         if 2 * m + 1 < min(over, limit + 1):
             keep = 2 * m + 1 <= limit // 2
             parts = {} if keep else None
@@ -884,10 +889,11 @@ def power_card_sequence(
                 over = min(over, 2 * m + 1)
             elif keep:
                 odd = layout.odd_power([(c, parts[r]) for c, r in layout.classes])
-                stack.append((2 * m + 1, odd))
             del parts
         if 0 < 2 * m <= limit // 2:
             stack.append((2 * m, layout.square(power)))
+        if odd is not None:
+            stack.append((2 * m + 1, odd))
     if over <= limit:
         _check_cap(cards[over], max_elements)
     return cards

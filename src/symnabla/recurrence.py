@@ -42,7 +42,8 @@ rows is a value rule on the low bits of n.
   ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
   0..limit, evaluated one bit length at a time on arrays, since every
-  child has fewer bits than its parent;
+  child has fewer bits than its parent.  One generator, ``_rules``,
+  holds the order the rules are tried in, on ints and arrays alike;
 * ``term_range(k, limit)`` for k in 1..8: the default sweep.  The
   representation's rows, read as value rules, give every term of a
   doubling [lo, 2 lo - 1] from earlier ones by a few strided slices.
@@ -362,13 +363,14 @@ def matrix_term_range(
 # ---------------------------------------------------------------------------
 # Rewriting system on binary expansions (k = 8)
 
-# Base values and the 111-block rule are the k = 8 sparse recurrence.
+# Base values, the 01 rule's a(1) and the 111-block rule are the k = 8
+# sparse recurrence.
 _BASE_VALUES = {(1 << t) - 1: v for t, v in enumerate(_SPARSE_RECURRENCES[8][0])}
 
 # Linear rules: child coefficients.  The gap split multiplies instead.
 _RULE_COEFFS = {
     "strip_zeros": (1,),
-    "suffix_01": (8,),
+    "suffix_01": _SPARSE_RECURRENCES[8][0][1:2],
     "suffix_011": (1, 40),
     "block_111": _SPARSE_RECURRENCES[8][1],
     "suffix_011011": (47, -40),
@@ -380,14 +382,51 @@ CORE_RULES = ("strip_zeros", "gap_split", "suffix_01", "suffix_011", "block_111"
 OPTIONAL_RULES = ("suffix_011011", "suffix_101011", "prefix_10101")
 
 
-def _rule_children(rule: str, n, i):
-    """The children of n under a rule, for a Python int or an int64
-    array alike.  i is the rule's bit position: the number of trailing
-    zeros, the low bit of the lowest 00 gap, or the number of bits below
-    the 10101 prefix.  The other rules read the low bits of n."""
+def _rules(n, length: int, optional_rules: bool):
+    """(rule, where it fires) in the order the rules are tried, for a
+    Python int n (a bool) or an int64 array of indices of one bit
+    length (a mask).  Each index takes the first rule that fires at it.
+
+    The base indices are 2**t - 1 with t below the number of seeds.  The
+    gap is a bit test: bits i and i + 1 of n are both zero where
+    z & (z >> 1) has bit i set, with z the complement of n within its
+    bit length.  Of the shortcuts only suffix_011011 needs a length
+    test, as 27 = 11011 ends in 011011 too.  Past the 01 and 011
+    suffixes an odd expansion without a 00 gap must end in 111, so
+    block_111 fires everywhere left."""
+    yield "base", (length < len(_BASE_VALUES)) & (n & (n + 1) == 0)
+    yield "strip_zeros", n & 1 == 0
+    z = n ^ ((1 << length) - 1)
+    yield "gap_split", z & (z >> 1) != 0
+    if optional_rules:
+        yield "suffix_011011", (length >= 6) & (n & 0b111111 == 0b011011)
+        yield "suffix_101011", n & 0b111111 == 0b101011
+        yield "prefix_10101", n >> max(length - 5, 0) == 0b10101
+    yield "suffix_01", n & 0b11 == 0b01
+    yield "suffix_011", n & 0b111 == 0b011
+    yield "block_111", True
+
+
+def _low_bit(x):
+    """Index of the lowest set bit of x > 0, for a Python int or an int64
+    array: x & -x is a power of two, which frexp decomposes exactly."""
+    if isinstance(x, int):
+        return (x & -x).bit_length() - 1
+    return np.frexp((x & -x).astype(np.float64))[1].astype(np.int64) - 1
+
+
+def _rule_children(rule: str, n, length: int) -> tuple:
+    """The children of n, of the given bit length, under a rule, for a
+    Python int or an int64 array alike.  strip_zeros cuts the trailing
+    zeros, gap_split cuts at the lowest 00 gap and prefix_10101 reads the
+    bits below the prefix; the other rules read the low bits of n."""
+    if rule == "base":
+        return ()
     if rule == "strip_zeros":
-        return (n >> i,)
+        return (n >> _low_bit(n),)
     if rule == "gap_split":
+        z = n ^ ((1 << length) - 1)
+        i = _low_bit(z & (z >> 1))
         return (n & ((1 << i) - 1), n >> (i + 2))
     if rule == "suffix_01":
         return (n >> 2,)
@@ -402,50 +441,19 @@ def _rule_children(rule: str, n, i):
         head = n >> 6
         return ((head << 4) | 0b1011, (head << 2) | 0b11)
     # prefix_10101
+    i = length - 5
     low = n & ((1 << i) - 1)
     return ((0b101 << i) | low, (1 << i) | low)
 
 
-def _low_bit(x: int) -> int:
-    """Index of the lowest set bit of x > 0."""
-    return (x & -x).bit_length() - 1
-
-
 def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
-    """Deterministic rule choice: trailing zeros first, then the lowest
-    double-zero gap, then (optionally) the shortcut patterns, then the
-    01 / 011 suffixes, finally the 111 block, which is then always the
-    lowest three bits.  Every child has strictly fewer bits, so
-    rewriting terminates.
-
-    The gap is a bit test: bits i and i + 1 of n are both zero where
-    z & (z >> 1) has bit i set, with z the complement of n within its
-    bit length."""
-    if n.bit_length() <= 2 and n in _BASE_VALUES:
-        return "base", ()
-    if not n & 1:
-        return "strip_zeros", _rule_children("strip_zeros", n, _low_bit(n))
+    """The first rule of ``_rules`` that fires at n, and n's children
+    under it.  Every child has strictly fewer bits, so rewriting
+    terminates."""
     length = n.bit_length()
-    z = n ^ ((1 << length) - 1)
-    gaps = z & (z >> 1)
-    if gaps:
-        return "gap_split", _rule_children("gap_split", n, _low_bit(gaps))
-    if optional_rules:
-        rule = None
-        if length >= 6 and n & 0b111111 == 0b011011:
-            rule = "suffix_011011"
-        elif length >= 6 and n & 0b111111 == 0b101011:
-            rule = "suffix_101011"
-        elif length >= 5 and n >> (length - 5) == 0b10101:
-            rule = "prefix_10101"
-        if rule is not None:
-            return rule, _rule_children(rule, n, length - 5)
-    if n & 0b11 == 0b01:
-        return "suffix_01", _rule_children("suffix_01", n, 0)
-    if n & 0b111 == 0b011:
-        return "suffix_011", _rule_children("suffix_011", n, 0)
-    # odd, no 00 gap, not ending 01/011: the expansion must end in 111
-    return "block_111", _rule_children("block_111", n, 0)
+    for rule, fires in _rules(n, length, optional_rules):
+        if fires:
+            return rule, _rule_children(rule, n, length)
 
 
 def _combine(rule: str, n: int, child_values: Sequence) -> int:
@@ -459,34 +467,15 @@ def _combine(rule: str, n: int, child_values: Sequence) -> int:
 
 def _level_rules(n: np.ndarray, length: int):
     """``_select_rule`` (core rules) for an int64 array n of indices of
-    one bit length: yields (rule, mask of the indices it fires at, their
-    children as arrays), in the rule order.  The positions are the same
-    bit tests; the lowest set bit of x is read off x & -x, a power of
-    two that frexp decomposes exactly."""
-    z = n ^ ((1 << length) - 1)
-    positions = {"strip_zeros": n, "gap_split": z & (z >> 1)}
-    masks = (
-        ("base", np.isin(n, list(_BASE_VALUES))),
-        ("strip_zeros", n & 1 == 0),
-        ("gap_split", positions["gap_split"] != 0),
-        ("suffix_01", n & 0b11 == 0b01),
-        ("suffix_011", n & 0b111 == 0b011),
-        ("block_111", np.ones(len(n), dtype=bool)),
-    )
+    one bit length: yields (rule, mask of the indices it fires at first,
+    their children as arrays), in the order of ``_rules``, for each rule
+    that some index takes."""
     todo = np.ones(len(n), dtype=bool)
-    for rule, mask in masks:
-        hit = todo & mask
-        todo &= ~mask
-        if not hit.any():
-            continue
-        if rule == "base":
-            yield rule, hit, ()
-            continue
-        i = 0
-        if rule in positions:
-            x = positions[rule][hit]
-            i = np.frexp((x & -x).astype(np.float64))[1].astype(np.int64) - 1
-        yield rule, hit, _rule_children(rule, n[hit], i)
+    for rule, fires in _rules(n, length, False):
+        hit = todo & fires
+        todo ^= hit
+        if hit.any():
+            yield rule, hit, _rule_children(rule, n[hit], length)
 
 
 def reduce_term_range(limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:

@@ -276,7 +276,9 @@ def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
     2m + 1 <= limit is multiplied or sized; with one the sweep refuses
     the first a(n) over it.  Only a product whose odd power
     H**(2m + 1) the sweep does not build, 2m + 1 > limit // 2, is
-    sized."""
+    sized.  The walk takes a node's odd child first, so the capped
+    cases here meet their first power over the cap on the all-ones
+    path and refuse before they size any product."""
     cases = [(4, 40, None), (8, 40, None), (9, 33, None), (8, 40, 300), (9, 33, 400)]
     expect = {}
     for k, limit, cap in cases:
@@ -318,7 +320,25 @@ def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
         if cap is None:
             assert multiplied == set(range((limit - 1) // 2 + 1))
         if not wide:
-            assert only_sized == {m for m in multiplied if 2 * m + 1 > limit // 2} != set()
+            assert only_sized == {m for m in multiplied if 2 * m + 1 > limit // 2}
+            assert (only_sized != set()) == (cap is None)
+
+
+@pytest.mark.parametrize("k", [8, 9, 12, 16])
+def test_sweep_refusal_work_does_not_grow_with_the_limit(monkeypatch, k):
+    """The walk takes a node's odd child first, so it meets the first
+    power over the cap along 1, 11, 111, ...: the class counts made
+    before the refusal, and its text, are the same at every limit."""
+    calls = []
+    count = core._class_count
+    monkeypatch.setattr(core, "_class_count", lambda *args: calls.append(None) or count(*args))
+    outcomes = set()
+    for limit in (255, 1023, 4095, 16383):
+        calls.clear()
+        with pytest.raises(SizeLimitError) as refusal:
+            power_card_sequence(k, limit, max_elements=10**5)
+        outcomes.add((len(calls), str(refusal.value)))
+    assert len(outcomes) == 1, outcomes
 
 
 def unsliced(ka, kb):
@@ -529,8 +549,8 @@ def test_element_cap_enforced(monkeypatch):
         iterated_powers(8, 63)
     with pytest.raises(SizeLimitError, match=message):
         brute_card(8, 63)
-    # the sweep's first product over the guard is H**23 * {1, 2}, 2 * 2256 pairs
-    message = "symmetric product needs 4512 pairwise products, over the guard 2000"
+    # the sweep walks the odd child first, so its first product over the guard is H**15 * {1, 2}, 2 * 1784 pairs
+    message = "symmetric product needs 3568 pairwise products, over the guard 2000"
     with pytest.raises(SizeLimitError, match=message):
         power_card_sequence(8, 63)
 

@@ -32,6 +32,7 @@ from symnabla.recurrence import (
     _gap_width,
     _level_rules,
     _representation,
+    _rules,
     _select_rule,
     _word_state,
     annihilation_check,
@@ -601,6 +602,17 @@ def test_sweep_picks_the_rules_of_select_rule():
             for m, kids in zip(n[hit].tolist(), columns):
                 assert (rule, kids) == select_rule_by_strings(m, False), m
         assert (seen == 1).all()
+
+
+def test_rule_generator_yields_the_public_rule_order():
+    """_rules tries the base values, then CORE_RULES in order, with the
+    OPTIONAL_RULES between gap_split and suffix_01, on ints and on level
+    arrays alike."""
+    plain = ["base", *CORE_RULES]
+    optional = plain[:3] + list(OPTIONAL_RULES) + plain[3:]
+    for n, length in ((0, 0), (27, 5), (2**70 + 5, 71), (np.arange(64, 128, dtype=np.int64), 7)):
+        assert [rule for rule, _ in _rules(n, length, False)] == plain
+        assert [rule for rule, _ in _rules(n, length, True)] == optional
 
 
 def test_reduce_sweep_equals_per_index_rewriting():
