@@ -681,6 +681,8 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     import symnabla.cli as cli_mod
 
     class FakeReport:
+        k = 8
+        n_max = 2
         ok = False
         failures = ()
         vectors = ()
@@ -692,6 +694,63 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--k", "8", "--max-n", "2")
     assert code == 4
     assert out == "FAIL fabricated\n"
+
+
+_BUMPED_B = "k=5 n=2 vector component=b: expected 13, got 10"
+
+
+@pytest.mark.parametrize(
+    "argv, doctored, code, out",
+    [
+        ("structure --k 8 --n 2 --format csv", False, 0, "b,c,u,v,r\n32,10,12,4,4\n"),
+        ("structure --k 5 --n 2 --format csv", False, 0, "b,c,r\n10,4,11\n"),
+        (
+            "structure --k 5 --n 2 --format json",
+            False,
+            0,
+            '{"k": 5, "t": 2, "b": 10, "c": 4, "u": 0, "v": 0, "r": 11}\n',
+        ),
+        (
+            "verify --k 5 --max-n 2 --format json",
+            False,
+            0,
+            '{"k": 5, "max_n": 2, "ok": true, "vectors": [[0, 0, 1], [3, 1, 2], [10, 4, 11]], '
+            '"failures": []}\n',
+        ),
+        ("verify --k 5 --max-n 2", True, 4, f"FAIL k=5: 1 mismatch(es)\n{_BUMPED_B}\n"),
+        (
+            "verify --k 5 --max-n 2 --format json",
+            True,
+            4,
+            '{"k": 5, "max_n": 2, "ok": false, "vectors": [[0, 0, 1], [3, 1, 2], [10, 4, 11]], '
+            f'"failures": ["{_BUMPED_B}"]}}\n',
+        ),
+        (
+            "oeis --k 4 --bfile b253064.txt --format json",
+            False,
+            0,
+            '{"k": 4, "sequence_id": "A253064", "limit": 63, "ok": true, "mismatch": null}\n',
+        ),
+        ("oeis --k 3 --bfile b001316.txt", False, 4, "MISMATCH at n=1: computed 3, b-file 2\n"),
+        (
+            "oeis --k 3 --bfile b001316.txt --format json",
+            False,
+            4,
+            '{"k": 3, "sequence_id": "A048883", "limit": 63, "ok": false, "mismatch": [1, 3, 2]}\n',
+        ),
+    ],
+)
+def test_single_result_commands_print_pinned_bytes(capsys, monkeypatch, argv, doctored, code, out):
+    """Literal stdout and exit code of structure, verify and oeis in each
+    format.  A doctored replay bumps one entry of k = 5's step matrix."""
+    if doctored:
+        from symnabla import chains
+
+        rows = [list(r) for r in chains._STEP_ROWS[5]]
+        rows[0][0] += 1
+        monkeypatch.setitem(chains._STEP_ROWS, 5, tuple(map(tuple, rows)))
+    args = [str(FIXTURES / a) if a.startswith("b") and a.endswith(".txt") else a for a in argv.split()]
+    assert run_cli(capsys, *args) == (code, out, "")
 
 
 def test_usage_errors_exit_2():
