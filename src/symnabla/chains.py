@@ -204,7 +204,8 @@ def _census(k: int, runs: _Runs) -> StructVec:
 
 def census(s: SymSet) -> StructVec:
     """Chain census of a power set, counted from the run arrays without
-    building a single Chain; equals structural_vector(decompose(s), k)."""
+    building a single Chain: the total length and number of the A chains
+    ``decompose(s)`` lists, then of the B chains, then the C singletons."""
     return _census(s.k, _chain_runs(s)[1])
 
 
@@ -227,19 +228,12 @@ def decompose(s: SymSet) -> list[Chain]:
 
 
 def structural_vector(chains: Iterable[Chain], k: int) -> StructVec:
-    """Census of a chain list; StructVec rejects B chains outside k = 8."""
-    _check_chain_k(k)
-    b = c = u = v = r = 0
-    for ch in chains:
-        if ch.kind == "A":
-            b += ch.length
-            c += 1
-        elif ch.kind == "B":
-            u += ch.length
-            v += 1
-        else:
-            r += 1
-    return StructVec(k, b, c, u, v, r)
+    """Census of a chain list.  Not exported: ``census`` counts a set
+    without building chains, and this stays only for the warm-up call in
+    ``perfbench/worker.py``.  StructVec rejects B chains outside k = 8."""
+    chains = list(chains)
+    a, b, c = ([ch.length for ch in chains if ch.kind == kind] for kind in _KINDS)
+    return StructVec(k, sum(a), len(a), sum(b), len(b), len(c))
 
 
 # ---------------------------------------------------------------------------

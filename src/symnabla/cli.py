@@ -9,6 +9,16 @@ command quietly with 0.
 parser per process, built on the first call, so a later call pays only
 for parsing and its command; ``build_parser`` returns a new parser.
 
+Each output shape has one printer:
+
+* a record, the one result of ``term``, ``structure``, ``verify`` and
+  ``oeis``: ``_print_record``, which holds the plain, csv, json and
+  bfile rule for all four;
+* a sequence indexed from 0 (``seq``, ``sparse``): ``_print_values``;
+* a chain list (``chains``): ``cmd_chains`` itself;
+* a value and its derivation trace (``reduce``): ``cmd_reduce``
+  itself, which streams the trace's JSON in slices.
+
 Indexing conventions differ by command, deliberately:
 
 * ``term``, ``seq`` and ``reduce`` take the dense index n;
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -59,6 +70,20 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _print_record(fmt: str, record: dict, plain, csv_keys=(), index=None) -> None:
+    """Print one result: json prints the record, csv the values of
+    csv_keys under that header, bfile the line "index plain" and plain
+    the plain object.  Only the branch taken turns a value into text."""
+    if fmt == "json":
+        print(json.dumps(record))
+    elif fmt == "csv":
+        _print_csv(list(csv_keys), [[record[key] for key in csv_keys]])
+    elif fmt == "bfile":
+        print(index, plain)
+    else:
+        print(plain)
 
 
 _CHUNK = 1 << 16  # rows per piece of vectorised output
@@ -253,14 +278,8 @@ def _sparse_values(k: int, count: int) -> list[int]:
 
 def cmd_term(args) -> int:
     value = term(args.k, args.n, args.method, max_elements=args.max_elements)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "csv":
-        _print_csv(["k", "n", "value"], [[args.k, args.n, value]])
-    elif args.format == "json":
-        print(json.dumps({"k": args.k, "n": args.n, "method": args.method, "value": value}))
-    else:  # bfile
-        print(f"{args.n} {value}")
+    record = {"k": args.k, "n": args.n, "method": args.method, "value": value}
+    _print_record(args.format, record, value, ("k", "n", "value"), args.n)
     return 0
 
 
@@ -308,43 +327,21 @@ def cmd_chains(args) -> int:
 
 def cmd_structure(args) -> int:
     sv = census(_power_at_exponent(args.k, args.n, args.max_elements))
-    if args.format == "plain":
-        print(sv)
-    elif args.format == "csv":
-        _print_csv(list(census_components(args.k)), [list(sv.vector())])
-    else:  # json
-        print(
-            json.dumps(
-                {
-                    "k": args.k,
-                    "t": args.n,
-                    "b": sv.b,
-                    "c": sv.c,
-                    "u": sv.u,
-                    "v": sv.v,
-                    "r": sv.r,
-                }
-            )
-        )
+    record = {"k": args.k, "t": args.n, **dataclasses.asdict(sv)}
+    _print_record(args.format, record, sv, census_components(args.k))
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify_transfer(args.k, args.max_n, max_elements=args.max_elements)
-    if args.format == "plain":
-        print(report.summary())
-    else:  # json
-        print(
-            json.dumps(
-                {
-                    "k": report.k,
-                    "max_n": report.n_max,
-                    "ok": report.ok,
-                    "vectors": [list(v.vector()) for v in report.vectors],
-                    "failures": [f.message() for f in report.failures],
-                }
-            )
-        )
+    record = {
+        "k": report.k,
+        "max_n": report.n_max,
+        "ok": report.ok,
+        "vectors": [list(v.vector()) for v in report.vectors],
+        "failures": [f.message() for f in report.failures],
+    }
+    _print_record(args.format, record, report.summary())
     return 0 if report.ok else 4
 
 
@@ -391,20 +388,14 @@ def cmd_oeis(args) -> int:
         if limit is None:
             raise CoverageError("b-file has no entry for index 0")
     report = crosscheck(args.k, bfile, limit)
-    if args.format == "plain":
-        print(report.summary())
-    else:  # json
-        print(
-            json.dumps(
-                {
-                    "k": report.k,
-                    "sequence_id": report.sequence_id or sequence_id,
-                    "limit": report.limit,
-                    "ok": report.ok,
-                    "mismatch": report.mismatch,
-                }
-            )
-        )
+    record = {
+        "k": report.k,
+        "sequence_id": report.sequence_id or sequence_id,
+        "limit": report.limit,
+        "ok": report.ok,
+        "mismatch": report.mismatch,
+    }
+    _print_record(args.format, record, report.summary())
     return 0 if report.ok else 4
 
 

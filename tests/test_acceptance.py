@@ -11,9 +11,8 @@ from pathlib import Path
 
 from symnabla.chains import (
     cardinality_functional,
-    decompose,
+    census,
     mat_pow,
-    structural_vector,
     transfer_matrix,
     vec_mat,
     verify_transfer,
@@ -82,10 +81,10 @@ def test_01_known_values():
             if got != want:
                 bad.append(f"{method}(8,{n})={got}!={want}")
     for t, want in ((0, STATE_T0), (1, STATE_T1)):
-        got = structural_vector(decompose(sym_power(8, 2**t - 1)), 8).vector()
+        got = census(sym_power(8, 2**t - 1)).vector()
         if got != want:
             bad.append(f"state t={t}: {got}!={want}")
-    got = structural_vector(decompose(sym_power(8, 2)), 8).vector()
+    got = census(sym_power(8, 2)).vector()
     if got != STATE_SQUARED:
         bad.append(f"squared state: {got}!={STATE_SQUARED}")
     u = cardinality_functional(8)

@@ -25,7 +25,6 @@ from symnabla.chains import (
     mat_pow,
     mat_vec,
     squaring_matrix,
-    structural_vector,
     transfer_matrix,
     verify_transfer,
 )
@@ -84,6 +83,13 @@ def reference_chains(s):
 def as_triples(chains):
     return [(c.kind, c.base_value, c.length) for c in chains]
 
+
+def chain_census(chains, k):
+    """The census counted off a chain list: total length and number of
+    the A chains, then of the B chains, then the C singletons."""
+    a, b, c = ([ch.length for ch in chains if ch.kind == kind] for kind in "ABC")
+    return StructVec(k, sum(a), len(a), sum(b), len(b), len(c))
+
 # the full 18-chain breakdown of the cube of the k = 8 base set,
 # written as (kind, base value, length); total membership is 48
 CUBE8_CHAINS = [
@@ -116,8 +122,7 @@ def test_cube_decomposition_matches_known_table():
 
 
 def test_cube_structural_vector():
-    chains = decompose(sym_power(8, 3))
-    sv = structural_vector(chains, 8)
+    sv = census(sym_power(8, 3))
     assert sv.vector() == (32, 10, 12, 4, 4)
     assert sv.cardinality() == 48
     assert str(sv) == "(32,10,12,4,4)"
@@ -129,20 +134,14 @@ def test_base_set_structural_vector():
     chains = decompose(make_base_set(8))
     got = [(c.kind, c.base_value, c.length) for c in chains]
     assert got == [("A", 1, 4), ("A", 3, 2), ("C", 5, 1), ("C", 7, 1)]
-    sv = structural_vector(chains, 8)
+    sv = census(make_base_set(8))
     assert sv.vector() == (6, 2, 0, 0, 2)
-    assert structural_vector(decompose(sym_power(8, 0)), 8).vector() == (
-        0,
-        0,
-        0,
-        0,
-        1,
-    )
+    assert census(sym_power(8, 0)).vector() == (0, 0, 0, 0, 1)
 
 
 def test_square_power_structural_vector():
     # frozen from a hand check of the 8-element square of the base set
-    sv = structural_vector(decompose(sym_power(8, 2)), 8)
+    sv = census(sym_power(8, 2))
     assert sv.vector() == (0, 0, 6, 2, 2)
 
 
@@ -158,7 +157,7 @@ def test_chain_members_reconstruct_set():
 
 
 def test_small_k_struct_vector_is_three_parts():
-    sv = structural_vector(decompose(sym_power(4, 3)), 4)
+    sv = census(sym_power(4, 3))
     assert isinstance(sv, StructVec)
     assert len(sv.vector()) == 3
     assert sv.cardinality() == 12
@@ -243,7 +242,7 @@ def test_step_matrix_advances_structural_vectors():
     vec = initial_vector(8)
     assert vec == (0, 0, 0, 0, 1)
     for t in range(5):
-        sv = structural_vector(decompose(sym_power(8, 2**t - 1)), 8)
+        sv = census(sym_power(8, 2**t - 1))
         assert sv.vector() == vec
         vec = m8.apply(vec)
     # frozen: a step then a doubling lands on the census of power 2
@@ -251,13 +250,7 @@ def test_step_matrix_advances_structural_vectors():
     stepped = m8.apply(initial_vector(8))
     assert stepped == (6, 2, 0, 0, 2)
     assert w.apply(stepped) == (0, 0, 6, 2, 2)
-    assert structural_vector(decompose(sym_power(8, 2)), 8).vector() == (
-        0,
-        0,
-        6,
-        2,
-        2,
-    )
+    assert census(sym_power(8, 2)).vector() == (0, 0, 6, 2, 2)
 
 
 def test_squaring_and_step_matrices_replay_dense_powers():
@@ -298,7 +291,7 @@ def test_functional_reads_cardinality():
     u = cardinality_functional(8)
     assert u == (1, 0, 1, 0, 1)
     for n in range(5):
-        sv = structural_vector(decompose(sym_power(8, n + 1)), 8)
+        sv = census(sym_power(8, n + 1))
         v = sv.vector()
         assert sum(ui * vi for ui, vi in zip(u, v)) == len(sym_power(8, n + 1))
     assert cardinality_functional(4) == (1, 0, 1)
@@ -377,12 +370,12 @@ def test_decompose_partitions_arbitrary_sets(k, rows):
     s = SymSet(k, trimmed)
     chains = decompose(s)
     assert as_triples(chains) == reference_chains(s)
-    assert census(s) == structural_vector(chains, k)
+    sv = chain_census(chains, k)
+    assert census(s) == sv
     members = []
     for chain in chains:
         members.extend(chain.values())
     assert sorted(members) == s.values()
-    sv = structural_vector(chains, k)
     assert sv.cardinality() == len(s)
     # A chains never touch: consecutive powers of two over one odd part
     # always merge into a single maximal run
@@ -423,7 +416,7 @@ def test_decompose_matches_reference_with_step_two_runs():
             s = sym_power(k, n)
             chains = decompose(s)
             assert as_triples(chains) == reference_chains(s), (k, n)
-            assert census(s) == structural_vector(chains, k), (k, n)
+            assert census(s) == chain_census(chains, k), (k, n)
 
 
 def test_census_rejects_what_decompose_rejects():
