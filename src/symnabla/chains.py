@@ -468,9 +468,10 @@ def verify_transfer(
     non-concatenation of the chains are checked at every level.  All
     findings are collected into the report rather than raised.
 
-    The powers are sorted int64 keys in one layout, ``_base_keys``'s for
-    power 2**t - 1, t = min(n_max, T) with T the largest level that fits
-    63 bits (31, 20, 20, 15, 15 for k = 4..8).  Squaring doubles the
+    The powers are sorted int64 keys in k's one packed layout, the one
+    ``_base_keys`` gives every power up to 2**T - 1, with T the largest
+    level that fits 63 bits (31, 20, 20, 15, 15 for k = 4..8); levels up
+    to t = min(n_max, T) are formed in it.  Squaring doubles the
     keys, a step is ``_times_keys`` by the base set, under sym_prod's
     pair guard, and no row or Chain is built.  The guard refuses a level
     before T is passed (level 17, 13, 12, 11, 11 for k = 4..8); should

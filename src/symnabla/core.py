@@ -33,19 +33,21 @@ recurrence modules reproduce without materialising any sets.  The
 exponent rows of 1, ..., k and their column maxima are built once per k
 and kept read-only; ``make_base_set`` returns one shared SymSet per k,
 and the sets {1}, {c} and {1, ..., r} the power operations start from
-are slices of the same rows.  The power operations (``sym_power``,
-``brute_card``, ``power_card_sequence``) take one key layout per call
-from ``_layout``: each field holds n times the base set's largest
-exponent in its column, which bounds that exponent in every power
-0..n.  The powers then stay sorted int64 keys from start to end:
+are slices of the same rows.  Each k has one packed key layout, built
+once (``_packed_base``): each field holds 2**T - 1 times the base
+set's largest exponent in its column, T the largest level that fits
+63 bits, which bounds that exponent in every power 0..2**T - 1.  The
+power operations (``sym_power``, ``brute_card``,
+``power_card_sequence``) take their layout from ``_layout``.  In the
+packed one the powers stay sorted int64 keys from start to end:
 squaring doubles every key, multiplying goes through the same kernel
 as ``sym_prod``, and only ``sym_power`` unpacks, once, at the end.  A
-layout wider than 63 bits (k = 64 at n = 8, say) holds ``SymSet``
-values instead, squared by ``sym_square`` and multiplied by
-``sym_prod``.  ``_layout`` is the one place that chooses, and each
-power operation runs one body in either layout.  Power sets grow fast,
-so the power operations take an element cap and raise SizeLimitError
-instead of exhausting memory.
+power past 2**T - 1 (k = 64 at n = 8, say) takes the wide layout, which
+holds ``SymSet`` values instead, squared by ``sym_square`` and
+multiplied by ``sym_prod``.  ``_layout`` is the one place that chooses,
+and each power operation runs one body in either layout.  Power sets
+grow fast, so the power operations take an element cap and raise
+SizeLimitError instead of exhausting memory.
 
 The dense sweep ``power_card_sequence`` uses the ring's characteristic
 2 twice.  With H = {1, ..., k} and S = H**m, H**(2m) is S with every
@@ -63,10 +65,11 @@ n = (2h + 1) * 2**j by square-and-multiply and counts
 a(n) = a(2h + 1) from the sizes of the class products of S.  The two
 share that count (``_class_count``).  On packed keys a class product
 that only counts is sized, not formed, wherever the factor is Q_2
-(``_times_size``).  The {c} and Q_r of both are built once per k and
-key layout (``_class_factors``).  ``sym_power`` stays plain
-square-and-multiply with the whole base set, the oracle's independent
-cross-check.
+(``_times_size``).  The {c} and Q_r of both are built once per k
+(``_class_factors``).  ``brute_card`` reads the powers H**1 .. H**7
+of a packed layout from a table built once per k (``_small_power``).
+``sym_power`` stays plain square-and-multiply with the whole base set,
+the oracle's independent cross-check, and uses no table.
 
 All operations are pure: ``SymSet`` is immutable and every operation
 returns a new instance.
@@ -77,7 +80,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -102,6 +105,10 @@ _PAIR_GUARD = 1 << 28
 # the wide-row fallback of sym_prod reduces blocks of about a quarter as
 # many exponents.
 _CHUNK_KEYS = 1 << 25
+
+# brute_card reads the powers H**1 .. H**7 of a packed layout from a
+# table (``_small_power``) that holds those below this bound.
+_TABLED = 8
 
 
 @lru_cache(maxsize=None)
@@ -580,20 +587,38 @@ def _check_cap(size: int, cap: int) -> None:
         )
 
 
-def _base_keys(base: SymSet, n: int):
-    """The base set packed for its powers 0..n, and the field maxima.
+@lru_cache(maxsize=None)
+def _packed_base(k: int):
+    """The one key layout of k: the largest n whose powers it holds, the
+    base set packed in it, and its field maxima.
 
     Every element of power r is a product of r base elements, so its
     exponent in column j is at most r times the base set's maximum
-    there, which _base_table keeps.  Fields sized for n times those
-    maxima therefore hold every power 0..n and never need widening.
-    Returns None when they need more than 63 bits.
+    there, which _base_table keeps.  The fields are sized for
+    n = 2**T - 1, T the largest level whose fields fit 63 bits: 63, 31,
+    31, 20, 20, 15, 15, 15 for k = 2..9, 10 at k = 16, 5 at k = 30 and
+    3 at k = 64.  They hold every power 0..2**T - 1.  Fields only widen
+    with n, and n = 2**T needs them as wide as 2**(T + 1) - 1 does, so
+    the n <= 2**T - 1 are exactly those whose own fields fit 63 bits.
+    k = 1 has no fields and holds every n.  Built once per k, read-only.
     """
-    maxima = [n * m for m in _base_table(base.k)[1]]
-    shifts, total = _field_shifts(maxima)
-    if total > 63:
-        return None
-    return _pack(base.exponents, shifts), maxima
+    column = _base_table(k)[1]
+    level = max(t for t in range(1, 64) if _field_shifts([(2**t - 1) * m for m in column])[1] <= 63)
+    maxima = tuple((2**level - 1) * m for m in column)
+    keys = _pack(make_base_set(k).exponents, _field_shifts(maxima)[0])
+    keys.setflags(write=False)
+    return (2**level - 1 if column else inf), keys, maxima
+
+
+def _base_keys(base: SymSet, n: int):
+    """The base set packed in its key layout, and the field maxima, or
+    None when that layout does not hold power n.
+
+    There is one layout per k (``_packed_base``), so every n it holds
+    gets the same read-only keys.  None exactly when n > 2**T - 1.
+    """
+    limit, keys, maxima = _packed_base(base.k)
+    return None if n > limit else (keys, maxima)
 
 
 def _times_keys(keys: np.ndarray, kb: np.ndarray) -> np.ndarray:
@@ -614,14 +639,27 @@ def _times_size(keys: np.ndarray, kb: np.ndarray) -> int:
     return _times_keys(keys, kb).size
 
 
-def _square_and_multiply(base, n: int, square, times, cap: int):
-    """Power n >= 1 of base, checking the cap after every step."""
+def _square_and_multiply(base, n: int, square, times, cap: int, powers=None):
+    """Power n >= 1 of base, checking the cap after every step.
+
+    With powers, which maps 1 <= j < _TABLED to base**j, a step that ends
+    on such a power j reads it instead of forming it, after the pair
+    guard check its product by base would make, so it refuses as the
+    steps it skips would.
+    """
     result = base
     _check_cap(len(result), cap)
+    j = 1
     for bit in bin(n)[3:]:
-        result = square(result)
-        if bit == "1":
-            result = times(result, base)
+        j = 2 * j + (bit == "1")
+        if powers is not None and j < _TABLED:
+            if bit == "1":
+                _check_pairs(len(result), len(base))
+            result = powers(j)
+        else:
+            result = square(result)
+            if bit == "1":
+                result = times(result, base)
         _check_cap(len(result), cap)
     return result
 
@@ -631,16 +669,18 @@ _Layout = namedtuple("_Layout", "base square times size odd_power classes factor
 
 
 def _layout(k: int, n: int) -> _Layout:
-    """The one key layout of the powers 0..n of H = {1, ..., k}.
+    """The key layout of the powers 0..n of H = {1, ..., k}.
 
-    Fields sized by ``_base_keys`` hold every power 0..n as sorted int64
-    keys: squaring doubles every key, which keeps them sorted, a product
-    goes through ``_times_keys`` and is sized by ``_times_size``, and an
-    odd power is one stable sort of its doubled class runs.  When those
-    fields need more than 63 bits, the sets are SymSets, squared by
+    When k's one packed layout holds power n (``_base_keys``), every
+    power 0..n is sorted int64 keys in it: squaring doubles every key,
+    which keeps them sorted, a product goes through ``_times_keys`` and
+    is sized by ``_times_size``, and an odd power is one stable sort of
+    its doubled class runs.  Otherwise the sets are SymSets, squared by
     sym_square and multiplied and sized by sym_prod.  Every power
     operation takes its layout from here and runs the same steps in
-    either.
+    either.  Only data is kept between calls (the keys, class factors
+    and maxima); the steps are the module's functions as they stand at
+    the call, and ``_base_keys`` is asked every time.
 
     The _Layout holds base, H in the layout; square(S), S**2;
     times(S, Q), S * Q; size(S, Q), |S * Q|; odd_power(parts), the
@@ -651,22 +691,28 @@ def _layout(k: int, n: int) -> _Layout:
     base = make_base_set(k)
     packed = _base_keys(base, n)
     if packed is None:
-
-        def odd_rows(parts):
-            rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
-            return SymSet(k, _canonical(rows), _internal=True)
-
-        size = lambda s, q: len(sym_prod(s, q))
-        return _Layout(base, sym_square, sym_prod, size, odd_rows, *_class_factors(k, None), None)
+        return _Layout(base, sym_square, sym_prod, _rows_size, _odd_rows, *_class_factors(k, False), None)
     kb, maxima = packed
+    return _Layout(kb, _doubled, _times_keys, _times_size, _odd_keys, *_class_factors(k, True), maxima)
 
-    def odd_keys(parts):
-        keys = _doubled_union(parts)
-        keys.sort(kind="stable")  # one sorted run per class
-        return keys
 
-    sets = _class_factors(k, tuple(_field_shifts(maxima)[0].tolist()))
-    return _Layout(kb, lambda keys: keys * 2, _times_keys, _times_size, odd_keys, *sets, maxima)
+def _doubled(keys: np.ndarray) -> np.ndarray:
+    return keys * 2
+
+
+def _rows_size(s: SymSet, q: SymSet) -> int:
+    return len(sym_prod(s, q))
+
+
+def _odd_keys(parts) -> np.ndarray:
+    keys = _doubled_union(parts)
+    keys.sort(kind="stable")  # one sorted run per class
+    return keys
+
+
+def _odd_rows(parts) -> SymSet:
+    rows = _doubled_union([(c.exponents, p.exponents) for c, p in parts])
+    return SymSet(parts[0][0].k, _canonical(rows), _internal=True)
 
 
 def _class_count(k: int, power, layout: _Layout, parts: dict | None = None) -> int:
@@ -690,11 +736,11 @@ def sym_power(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> Sym
     """n-th symmetric power of {1, ..., k} by square-and-multiply.
 
     Every step is a square or a product by the whole base set, in the
-    one layout of ``_layout`` for power n: as sorted int64 keys, unpacked
-    once at the end into canonical row order, or as SymSets when the
-    layout needs more than 63 bits (for example k = 64, n = 8).  It
-    builds every power on its path and none of brute_card's square
-    classes, so it is the oracle's independent cross-check.
+    layout of ``_layout`` for power n: as sorted int64 keys, unpacked
+    once at the end into canonical row order, or as SymSets when n is
+    past k's packed layout (for example k = 64, n = 8).  It builds every
+    power on its path, none of brute_card's square classes and no table,
+    so it is the oracle's independent cross-check.
 
     sym_power(k, 0) is the ring identity {1}.  Raises SizeLimitError if
     any intermediate power exceeds max_elements.
@@ -718,7 +764,9 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     cap.  It writes n = (2h + 1) * 2**j and builds only S = H**h, by
     square-and-multiply with H = {1, ..., k} as sym_power does, in the
     layout of ``_layout`` for power 2h + 1, packed or not, so an even n
-    packs whenever its odd part does.  A square keeps
+    packs whenever its odd part does.  In the packed layout the powers
+    of the first three bits of h are read from the table of H**1 ..
+    H**7 (``_small_power``), built once per k.  A square keeps
     the size of a set, so a(n) = a(2h + 1), which the square-class
     split of power_card_sequence counts from S (``_class_count``): the
     sum over the classes of count * |S * Q_r|.  The last product of
@@ -731,7 +779,9 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
 
     The refusals are sym_power's, in its order: the cap on each power up
     to S, the pair guard on |S| * k pairs, the product sym_power forms
-    next, then the cap on a(n).  n <= 0 goes to sym_power itself.
+    next, then the cap on a(n).  Both are checked at every step, read
+    from the table or not, so the refusals do not depend on what the
+    table holds.  n <= 0 goes to sym_power itself.
     """
     if n <= 0:
         return len(sym_power(k, n, max_elements=max_elements))
@@ -739,7 +789,8 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     layout = _layout(k, 2 * h + 1)
     power = layout.factors[1]  # H**0 = Q_1 = {1}
     if h:
-        power = _square_and_multiply(layout.base, h, layout.square, layout.times, max_elements)
+        powers = None if layout.maxima is None else lambda j: _small_power(k, j)
+        power = _square_and_multiply(layout.base, h, layout.square, layout.times, max_elements, powers)
     _check_pairs(len(power), k)
     card = _class_count(k, power, layout)
     _check_cap(card, max_elements)
@@ -772,30 +823,49 @@ def _square_classes(k: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _class_factors(k: int, shifts: tuple[int, ...] | None):
-    """The square-class factors of {1, ..., k} in one key layout.
+def _class_factors(k: int, packed: bool):
+    """The square-class factors of {1, ..., k}, packed or as SymSets.
 
     Returns (classes, factors): classes holds ({c}, r) for each (c, r)
     of ``_square_free(k)``, and factors maps each r of
-    ``_square_classes(k)`` to Q_r = {1, ..., r}.  With field shifts the
-    sets are sorted int64 keys packed at those shifts; with None, the
-    wide layout, they are SymSets.  Built once per k and layout, from
-    slices of ``_base_table``, and read-only.  The layout of power n is
-    set by the bit lengths of n times the column maxima, so a k has at
-    most a few layouts per bit length of n, and the cache stays small.
+    ``_square_classes(k)`` to Q_r = {1, ..., r}.  Packed, the sets are
+    sorted int64 keys in k's one key layout (``_packed_base``); else, for
+    the wide layout, they are SymSets.  Built once per k from slices of
+    ``_base_table``, and read-only.
     """
     table = _base_table(k)[0]
+    shifts = _field_shifts(_packed_base(k)[2])[0]
 
     def pack(rows):
-        if shifts is None:
+        if not packed:
             return SymSet(k, rows, _internal=True)
-        keys = _pack(rows, np.asarray(shifts, dtype=np.int64))
+        keys = _pack(rows, shifts)
         keys.setflags(write=False)
         return keys
 
     classes = tuple((pack(table[c - 1 : c]), r) for c, r in _square_free(k))
     factors = {r: pack(_canonical(table[:r])) for r, _ in _square_classes(k)}
     return classes, factors
+
+
+@lru_cache(maxsize=None)
+def _small_power(k: int, j: int) -> np.ndarray:
+    """H**j in k's one key layout, for 1 <= j < _TABLED, read-only.
+
+    H**(j // 2) squared and, for odd j, times H by ``_times_keys``.
+    brute_card makes that product's pair guard check itself before it
+    reads an entry, so building one never refuses first.  The table
+    holds the sum of a(j) over 1 <= j < 8 keys per k: 480 at k = 8,
+    about 19 MB over every k.
+    """
+    kb = _packed_base(k)[1]
+    if j == 1:
+        return kb
+    keys = _small_power(k, j // 2) * 2
+    if j % 2:
+        keys = _times_keys(keys, kb)
+    keys.setflags(write=False)
+    return keys
 
 
 def _doubled_union(parts) -> np.ndarray:
@@ -865,7 +935,7 @@ def power_card_sequence(
     the first a(n) over the cap found so far is skipped.  After the walk
     the first a(n) over the cap in index order is refused.  The powers
     live in the layout of ``_layout`` for power limit: sorted int64 keys
-    or, past 63 bits, SymSets, along the same walk.
+    or, past k's packed layout, SymSets, along the same walk.
     """
     if limit < 0:
         raise DomainError(f"limit must be >= 0, got {limit}")

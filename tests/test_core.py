@@ -24,6 +24,7 @@ from symnabla.core import (
 )
 from symnabla.errors import DomainError, SizeLimitError
 from symnabla.recurrence import term
+from test_chains import _layout_level
 
 
 def ref_prod_values(avals, bvals):
@@ -196,7 +197,23 @@ def test_power_layout_boundary(monkeypatch):
     k = 4 packs every power below 2**31 into exactly 63 bits.  brute_card
     takes the layout of n's odd part, so only an odd part past the
     boundary forms SymSet products.
+
+    Each k has one packed layout, sized for power 2**T - 1, that holds
+    exactly the n whose own fields fit 63 bits: the n <= 2**T - 1.
+    Every n it holds gets the same keys.
     """
+    levels = {k: _layout_level(k) for k in range(1, 65)}
+    assert [levels[k] for k in range(2, 10)] == [63, 31, 31, 20, 20, 15, 15, 15]
+    assert (levels[16], levels[30], levels[64]) == (10, 5, 3)
+    for k, level in levels.items():
+        base = make_base_set(k)
+        keys = core._base_keys(base, 1)[0]
+        limit = 2**level - 1 if k > 1 else float("inf")  # k = 1 has no fields to outgrow
+        for n in sorted({*range(1, 65), *(2**t + d for t in range(1, 66) for d in (-1, 0, 1)), 2**200}):
+            packed = core._base_keys(base, n)
+            own_bits = core._field_shifts([n * m for m in core._base_table(k)[1]])[1]
+            assert (packed is None) == (n > limit) == (own_bits > 63), (k, n)
+            assert packed is None or packed[0] is keys, (k, n)
     calls = []
 
     def counted(fn):
@@ -631,11 +648,41 @@ def test_brute_card_refuses_as_sym_power_does(monkeypatch):
     assert kinds == {"power", "product"}
 
 
+def test_brute_card_same_cold_and_warm(monkeypatch):
+    """brute_card reads H**1 .. H**7 of a packed layout from a table.
+    With the table cleared before the call (cold) and with all of it
+    built (warm) it gives sym_power's value or refusal text, for every
+    h < 8 and larger n, under caps and pair guards that trip inside the
+    table's powers and past them."""
+    indices = list(range(1, 16)) + [63, 62, 30, 255]
+    default_guard = core._PAIR_GUARD
+
+    def warm(k):
+        with monkeypatch.context() as mp:
+            mp.setattr(core, "_PAIR_GUARD", default_guard)
+            for j in range(1, 8):
+                core._small_power(k, j)
+
+    for guard in (2000, default_guard):
+        monkeypatch.setattr(core, "_PAIR_GUARD", guard)
+        for k in (4, 8, 9, 16):
+            for n in indices:
+                for cap in (1, 100, DEFAULT_ELEMENT_CAP):
+                    want = outcome(lambda: len(sym_power(k, n, max_elements=cap)))
+                    warm(k)
+                    hot = outcome(brute_card, k, n, max_elements=cap)
+                    core._small_power.cache_clear()
+                    cold = outcome(brute_card, k, n, max_elements=cap)
+                    assert cold == hot == want, (guard, k, n, cap)
+
+
 def test_brute_card_last_step_multiplies_by_q2_only(monkeypatch):
     """At k = 8 the square classes are four of {c} and two of c * {1, 2},
     so after building H**127 brute_card(8, 255) sizes one more product,
     H**127 * {1, 2}, without forming it, and counts
-    4|H**127| + 2|H**127 * {1, 2}|."""
+    4|H**127| + 2|H**127 * {1, 2}|.  With the table of H**1 .. H**7
+    warm, it forms only the powers 15, 31, 63 and 127 on the way."""
+    brute_card(8, 15)  # h = 7: builds H**3 and H**7 into the table
     kernel, size = core._toggle_sums, core._times_size
     calls, sized = [], []
     monkeypatch.setattr(core, "_toggle_sums", lambda ka, kb: calls.append((ka, kb)) or kernel(ka, kb))
@@ -643,7 +690,8 @@ def test_brute_card_last_step_multiplies_by_q2_only(monkeypatch):
     card = brute_card(8, 255)
     monkeypatch.undo()
     assert card == len(sym_power(8, 255))
-    assert len(calls) == 6 and [kb.size for _, kb in calls] == [8] * 6
+    # H**(2i + 1) = H**(2i) * H for i = 7, 15, 31, 63
+    assert [(ka.size, kb.size) for ka, kb in calls] == [(len(sym_power(8, i)), 8) for i in (7, 15, 31, 63)]
     assert len(sized) == 1
     power, q2 = sized[0]
     assert power.size == brute_card(8, 127) and q2.tolist() == [0, 1]  # the keys of 1 and 2
