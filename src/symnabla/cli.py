@@ -11,12 +11,12 @@ for parsing and its command; ``build_parser`` returns a new parser.
 
 Each output shape has one printer:
 
-* a record, the one result of ``term``, ``structure``, ``verify`` and
-  ``oeis``: ``_print_record``, which holds the plain, csv, json and
-  bfile rule for all four;
+* a record, the one result of ``term``, ``structure``, ``verify``,
+  ``oeis`` and untraced ``reduce``: ``_print_record``, which holds the
+  plain, csv, json and bfile rule for all five;
 * a sequence indexed from 0 (``seq``, ``sparse``): ``_print_values``;
 * a chain list (``chains``): ``cmd_chains`` itself;
-* a value and its derivation trace (``reduce``): ``cmd_reduce``
+* a value and its derivation trace (``reduce --trace``): ``cmd_reduce``
   itself, which streams the trace's JSON in slices.
 
 Indexing conventions differ by command, deliberately:
@@ -346,22 +346,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.trace:
-        value, trace = reduce_term(
-            args.n, trace=True, optional_rules=args.optional_rules
-        )
-    else:
+    if not args.trace:
         value = reduce_term(args.n, optional_rules=args.optional_rules)
-        trace = None
+        record = {"n": args.n, "value": value, "optional_rules": args.optional_rules}
+        _print_record(args.format, record, f"value {value}")
+        return 0
+    value, trace = reduce_term(args.n, trace=True, optional_rules=args.optional_rules)
     if args.format == "plain":
-        if trace is not None:
-            print(trace.to_text())
+        print(trace.to_text())
         print(f"value {value}")
     else:  # json
         text = json.dumps({"n": args.n, "value": value, "optional_rules": args.optional_rules})
-        if trace is None:
-            print(text)
-            return 0
         # The trace is the last key, written by its own encoder, and in
         # slices, so that stdout never encodes a second copy of it at once.
         trace_text = trace.to_json()

@@ -743,11 +743,12 @@ def sym_power(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> Sym
     so it is the oracle's independent cross-check.
 
     sym_power(k, 0) is the ring identity {1}.  Raises SizeLimitError if
-    any intermediate power exceeds max_elements.
+    any power on the path, H**0 = {1} included, exceeds max_elements.
     """
     if n < 0:
         raise DomainError(f"power index must be >= 0, got {n}")
     if n == 0:
+        _check_cap(1, max_elements)
         return SymSet(k, _base_table(k)[0][:1], _internal=True)
     layout = _layout(k, n)
     power = _square_and_multiply(layout.base, n, layout.square, layout.times, max_elements)
@@ -781,7 +782,8 @@ def brute_card(k: int, n: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> in
     to S, the pair guard on |S| * k pairs, the product sym_power forms
     next, then the cap on a(n).  Both are checked at every step, read
     from the table or not, so the refusals do not depend on what the
-    table holds.  n <= 0 goes to sym_power itself.
+    table holds.  n <= 0 goes to sym_power itself, which checks the cap
+    on H**0 = {1} too.
     """
     if n <= 0:
         return len(sym_power(k, n, max_elements=max_elements))

@@ -9,8 +9,8 @@ a_k is 2-regular, and one minimal linear representation per k in 1..8
 word: V(n) = (a(n), a(n.1), a(n.11)) cut to the rank r (1 for
 k = 1..3, 2 for k = 4..7, 3 at k = 8), V(2n + b) = A_b V(n) and
 V(0) = (a(0), a(1), a(3)) cut the same way.  It is built from the two
-tables ``_SPARSE_RECURRENCES`` and ``_RULE_COEFFS``, and each of its
-rows is a value rule on the low bits of n.
+tables ``_SPARSE_RECURRENCES`` and ``_RULES``, and each of its rows is
+a value rule on the low bits of n.
 
 * ``sparse_term(k, t)``: the subsequence at the all-ones indices
   2**t - 1, the first component of A1**t V(0); ``sparse_terms`` steps
@@ -42,8 +42,9 @@ rows is a value rule on the low bits of n.
   ReductionTrace;
 * ``reduce_term_range(limit)``: the same rules for every n in
   0..limit, evaluated one bit length at a time on arrays, since every
-  child has fewer bits than its parent.  One generator, ``_rules``,
-  holds the order the rules are tried in, on ints and arrays alike;
+  child has fewer bits than its parent.  One table, ``_RULES``, holds
+  each rule's bit test, children and coefficients, on ints and arrays
+  alike, and ``_ORDER`` the order the rules are tried in;
 * ``term_range(k, limit)`` for k in 1..8: the default sweep.  The
   representation's rows, read as value rules, give every term of a
   doubling [lo, 2 lo - 1] from earlier ones by a few strided slices.
@@ -367,44 +368,8 @@ def matrix_term_range(
 # sparse recurrence.
 _BASE_VALUES = {(1 << t) - 1: v for t, v in enumerate(_SPARSE_RECURRENCES[8][0])}
 
-# Linear rules: child coefficients.  The gap split multiplies instead.
-_RULE_COEFFS = {
-    "strip_zeros": (1,),
-    "suffix_01": _SPARSE_RECURRENCES[8][0][1:2],
-    "suffix_011": (1, 40),
-    "block_111": _SPARSE_RECURRENCES[8][1],
-    "suffix_011011": (47, -40),
-    "suffix_101011": (9, -8),
-    "prefix_10101": (9, -8),
-}
-
 CORE_RULES = ("strip_zeros", "gap_split", "suffix_01", "suffix_011", "block_111")
 OPTIONAL_RULES = ("suffix_011011", "suffix_101011", "prefix_10101")
-
-
-def _rules(n, length: int, optional_rules: bool):
-    """(rule, where it fires) in the order the rules are tried, for a
-    Python int n (a bool) or an int64 array of indices of one bit
-    length (a mask).  Each index takes the first rule that fires at it.
-
-    The base indices are 2**t - 1 with t below the number of seeds.  The
-    gap is a bit test: bits i and i + 1 of n are both zero where
-    z & (z >> 1) has bit i set, with z the complement of n within its
-    bit length.  Of the shortcuts only suffix_011011 needs a length
-    test, as 27 = 11011 ends in 011011 too.  Past the 01 and 011
-    suffixes an odd expansion without a 00 gap must end in 111, so
-    block_111 fires everywhere left."""
-    yield "base", (length < len(_BASE_VALUES)) & (n & (n + 1) == 0)
-    yield "strip_zeros", n & 1 == 0
-    z = n ^ ((1 << length) - 1)
-    yield "gap_split", z & (z >> 1) != 0
-    if optional_rules:
-        yield "suffix_011011", (length >= 6) & (n & 0b111111 == 0b011011)
-        yield "suffix_101011", n & 0b111111 == 0b101011
-        yield "prefix_10101", n >> max(length - 5, 0) == 0b10101
-    yield "suffix_01", n & 0b11 == 0b01
-    yield "suffix_011", n & 0b111 == 0b011
-    yield "block_111", True
 
 
 def _low_bit(x):
@@ -415,45 +380,83 @@ def _low_bit(x):
     return np.frexp((x & -x).astype(np.float64))[1].astype(np.int64) - 1
 
 
-def _rule_children(rule: str, n, length: int) -> tuple:
-    """The children of n, of the given bit length, under a rule, for a
-    Python int or an int64 array alike.  strip_zeros cuts the trailing
-    zeros, gap_split cuts at the lowest 00 gap and prefix_10101 reads the
-    bits below the prefix; the other rules read the low bits of n."""
-    if rule == "base":
-        return ()
-    if rule == "strip_zeros":
-        return (n >> _low_bit(n),)
-    if rule == "gap_split":
-        z = n ^ ((1 << length) - 1)
-        i = _low_bit(z & (z >> 1))
-        return (n & ((1 << i) - 1), n >> (i + 2))
-    if rule == "suffix_01":
-        return (n >> 2,)
-    if rule == "suffix_011":
-        return (((n >> 3) << 1) | 1, n >> 3)
-    if rule == "block_111":
-        return (n >> 1, n >> 2, n >> 3)
-    if rule == "suffix_011011":
-        head = n >> 6
-        return ((head << 3) | 0b011, head)
-    if rule == "suffix_101011":
-        head = n >> 6
-        return ((head << 4) | 0b1011, (head << 2) | 0b11)
-    # prefix_10101
+def _gaps(n, length: int):
+    """Bit i is set where bits i and i + 1 of n are both zero: z & (z >> 1)
+    with z the complement of n within its bit length."""
+    z = n ^ ((1 << length) - 1)
+    return z & (z >> 1)
+
+
+def _gap_children(n, length: int) -> tuple:
+    i = _low_bit(_gaps(n, length))
+    return (n & ((1 << i) - 1), n >> (i + 2))
+
+
+def _prefix_children(n, length: int) -> tuple:
     i = length - 5
     low = n & ((1 << i) - 1)
     return ((0b101 << i) | low, (1 << i) | low)
 
 
+# rule -> (fires(n, length), children(n, length), coefficients), for a
+# Python int n (a bool) or an int64 array of indices of one bit length
+# (a mask).  A linear rule's value is the sum of coefficient * child
+# value; base reads _BASE_VALUES and gap_split multiplies.  The base
+# indices are 2**t - 1 with t below the number of seeds.  strip_zeros
+# cuts the trailing zeros, gap_split cuts at the lowest 00 gap and
+# prefix_10101 reads the bits below the prefix.  The suffix rules
+# rewrite n = m.w into children m.u, which are n shifted right with the
+# low bit set where u ends in 1.  Of the shortcuts only suffix_011011
+# needs a length test, as 27 = 11011 ends in 011011 too.  Past the 01
+# and 011 suffixes an odd expansion without a 00 gap must end in 111,
+# so block_111 fires everywhere left.
+_RULES = {
+    "base": (
+        lambda n, length: (length < len(_BASE_VALUES)) & (n & (n + 1) == 0), lambda n, _: (), None
+    ),
+    "strip_zeros": (lambda n, _: n & 1 == 0, lambda n, _: (n >> _low_bit(n),), (1,)),
+    "gap_split": (lambda n, length: _gaps(n, length) != 0, _gap_children, None),
+    "suffix_01": (
+        lambda n, _: n & 0b11 == 0b01, lambda n, _: (n >> 2,), _SPARSE_RECURRENCES[8][0][1:2]
+    ),
+    "suffix_011": (lambda n, _: n & 0b111 == 0b011, lambda n, _: ((n >> 2) | 1, n >> 3), (1, 40)),
+    "block_111": (
+        lambda n, _: True, lambda n, _: (n >> 1, n >> 2, n >> 3), _SPARSE_RECURRENCES[8][1]
+    ),
+    "suffix_011011": (
+        lambda n, length: (length >= 6) & (n & 0b111111 == 0b011011),
+        lambda n, _: (n >> 3, n >> 6),
+        (47, -40),
+    ),
+    "suffix_101011": (
+        lambda n, _: n & 0b111111 == 0b101011, lambda n, _: ((n >> 2) | 1, (n >> 4) | 1), (9, -8)
+    ),
+    "prefix_10101": (
+        lambda n, length: n >> max(length - 5, 0) == 0b10101, _prefix_children, (9, -8)
+    ),
+}
+
+# optional_rules -> (rule, fires, children) in the order the rules are
+# tried: each index takes the first rule that fires at it.
+_ORDER = {
+    optional: tuple(
+        (rule, *_RULES[rule][:2])
+        for rule in (
+            "base", *CORE_RULES[:2], *(OPTIONAL_RULES if optional else ()), *CORE_RULES[2:]
+        )
+    )
+    for optional in (False, True)
+}
+
+
 def _select_rule(n: int, optional_rules: bool) -> tuple[str, tuple[int, ...]]:
-    """The first rule of ``_rules`` that fires at n, and n's children
+    """The first rule of ``_ORDER`` that fires at n, and n's children
     under it.  Every child has strictly fewer bits, so rewriting
     terminates."""
     length = n.bit_length()
-    for rule, fires in _rules(n, length, optional_rules):
-        if fires:
-            return rule, _rule_children(rule, n, length)
+    for rule, fires, children in _ORDER[optional_rules]:
+        if fires(n, length):
+            return rule, children(n, length)
 
 
 def _combine(rule: str, n: int, child_values: Sequence) -> int:
@@ -461,21 +464,20 @@ def _combine(rule: str, n: int, child_values: Sequence) -> int:
         return _BASE_VALUES[n]
     if rule == "gap_split":
         return child_values[0] * child_values[1]
-    coeffs = _RULE_COEFFS[rule]
-    return sum(map(mul, coeffs, child_values))
+    return sum(map(mul, _RULES[rule][2], child_values))
 
 
 def _level_rules(n: np.ndarray, length: int):
     """``_select_rule`` (core rules) for an int64 array n of indices of
     one bit length: yields (rule, mask of the indices it fires at first,
-    their children as arrays), in the order of ``_rules``, for each rule
+    their children as arrays), in the order of ``_ORDER``, for each rule
     that some index takes."""
     todo = np.ones(len(n), dtype=bool)
-    for rule, fires in _rules(n, length, False):
-        hit = todo & fires
+    for rule, fires, children in _ORDER[False]:
+        hit = todo & fires(n, length)
         todo ^= hit
         if hit.any():
-            yield rule, hit, _rule_children(rule, n[hit], length)
+            yield rule, hit, children(n[hit], length)
 
 
 def reduce_term_range(limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
@@ -728,7 +730,7 @@ def reduce_term(
 @cache
 def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
     """a_k's minimal linear representation (V(0), A0, A1) for k in 1..8,
-    built from ``_SPARSE_RECURRENCES`` and ``_RULE_COEFFS``.
+    built from ``_SPARSE_RECURRENCES`` and ``_RULES``.
 
     V(n) = (a(n), a(n.1), ..., a(n.1**(r-1))) has r = 1, 2, 3 components
     for k = 1..3, 4..7, 8, where m.w is the index whose binary expansion
@@ -752,7 +754,7 @@ def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
     seeds, coeffs = _SPARSE_RECURRENCES[k]
     r = len(seeds)
     # column 0 first; suffix_011 lists its children t = 1, 0
-    rows = ((1,), seeds[1:2], _RULE_COEFFS["suffix_011"][::-1])[:r]
+    rows = ((1,), seeds[1:2], _RULES["suffix_011"][2][::-1])[:r]
     a0 = tuple(row + (0,) * (r - len(row)) for row in rows)
     a1 = mat_identity(r)[1:] + ((0,) * (r - len(coeffs)) + coeffs[::-1],)
     return seeds, a0, a1
@@ -863,17 +865,12 @@ class IdentityReport:
         )
 
 
-def _combination(coeffs: Sequence[int], rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """sum(coeffs[i] * rows[i]), componentwise."""
-    return tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows))
-
-
 def matrix_identity_suite() -> IdentityReport:
     """Exact integer checks of the squaring/step matrix interplay (k=8).
 
     These identities are what let the matrix word skip the zero bits of
     n in blocks and are the backbone of the rewriting rules: the
-    coefficients checked are the ones ``_RULE_COEFFS`` holds.
+    coefficients checked are the ones ``_RULES`` holds.
     """
     step = transfer_matrix(8).rows
     square = squaring_matrix(8).rows
@@ -904,15 +901,15 @@ def matrix_identity_suite() -> IdentityReport:
         ),
         (
             "one step then squaring is the suffix_01 rule on the functional",
-            vec_mat(r1, square) == _combination(_RULE_COEFFS["suffix_01"], [functional]),
+            vec_mat(r1, square) == vec_mat(_RULES["suffix_01"][2], [functional]),
         ),
         (
             "two steps then squaring is the suffix_011 rule on one step and the functional",
-            vec_mat(r2, square) == _combination(_RULE_COEFFS["suffix_011"], [r1, functional]),
+            vec_mat(r2, square) == vec_mat(_RULES["suffix_011"][2], [r1, functional]),
         ),
         (
             "three steps collapse by the block_111 rule, the depth-3 recurrence",
-            r3 == _combination(_RULE_COEFFS["block_111"], [r2, r1, functional]),
+            r3 == vec_mat(_RULES["block_111"][2], [r2, r1, functional]),
         ),
         (
             "squaring matrix squared is the rank-one projector onto the initial state",
@@ -961,4 +958,4 @@ def annihilation_check(k: int) -> bool:
     rows = [functional]
     for _ in range(len(coeffs) - 1):
         rows.append(vec_mat(rows[-1], step))
-    return not any(_combination(coeffs, reversed(rows)))
+    return not any(vec_mat(coeffs, rows[::-1]))

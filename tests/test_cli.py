@@ -738,11 +738,19 @@ _BUMPED_B = "k=5 n=2 vector component=b: expected 13, got 10"
             4,
             '{"k": 3, "sequence_id": "A048883", "limit": 63, "ok": false, "mismatch": [1, 3, 2]}\n',
         ),
+        ("reduce --n 27 --format json", False, 0, '{"n": 27, "value": 2216, "optional_rules": false}\n'),
+        (
+            "reduce --n 27 --optional-rules --format json",
+            False,
+            0,
+            '{"n": 27, "value": 2216, "optional_rules": true}\n',
+        ),
     ],
 )
 def test_single_result_commands_print_pinned_bytes(capsys, monkeypatch, argv, doctored, code, out):
     """Literal stdout and exit code of structure, verify and oeis in each
-    format.  A doctored replay bumps one entry of k = 5's step matrix."""
+    format, and of untraced reduce in json.  A doctored replay bumps one
+    entry of k = 5's step matrix."""
     if doctored:
         from symnabla import chains
 

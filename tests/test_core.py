@@ -630,6 +630,11 @@ def test_brute_card_refuses_as_sym_power_does(monkeypatch):
     assert refusal(brute_card, 4, 5, max_elements=1) == "symmetric power reached 4 elements, over the cap 1"
     assert refusal(brute_card, 4, 8, max_elements=1) == refusal(sym_power, 4, 8, max_elements=1)
     assert brute_card(8, 12, max_elements=100) == 48
+    # H**0 = {1} is a power on the path too, so a cap below 1 refuses n = 0
+    zero = "symmetric power reached 1 elements, over the cap 0"
+    assert refusal(sym_power, 9, 0, max_elements=0) == zero
+    assert refusal(brute_card, 9, 0, max_elements=0) == zero
+    assert refusal(power_card_sequence, 9, 0, max_elements=0) == zero
     monkeypatch.setattr(core, "_PAIR_GUARD", 2000)
     # n = 63 trips on H**14 * H inside H**31; n = 30 = 15 * 2 on its last product, the 296 * 8 pairs of H**14 * H
     for n in (63, 30):

@@ -27,12 +27,12 @@ from symnabla.recurrence import (
     CORE_RULES,
     OPTIONAL_RULES,
     ReductionTrace,
-    _RULE_COEFFS,
+    _ORDER,
+    _RULES,
     _combine,
     _gap_width,
     _level_rules,
     _representation,
-    _rules,
     _select_rule,
     _word_state,
     annihilation_check,
@@ -379,7 +379,8 @@ def test_value_rules_are_identities_of_the_chain_word():
     m >= 1; its m = 0 instance is checked on the brute oracle.  For
     k = 4..7 the rules are f.Q = f, f.S.Q = a(1) f and the 11 row; at
     k = 8 the 01 row is 8 f and the 011 and 111 rows are suffix_011 and
-    block_111."""
+    block_111.  Every linear rule of the k = 8 rewriting system, the
+    optional shortcuts included, is proved on the same word."""
     suffixes = {k: ("0", "01", "11") for k in range(4, 8)} | {8: ("0", "01", "011", "111")}
     for k in range(4, 9):
         rules = row_rules(k)
@@ -392,8 +393,43 @@ def test_value_rules_are_identities_of_the_chain_word():
             m0 = sum(c * brute_card(k, (1 << t) - 1) for c, t in children)
             assert brute_card(k, int(suffix, 2)) == m0
     rules = dict(row_rules(8))
-    assert rules["011"] == tuple(zip(_RULE_COEFFS["suffix_011"], (1, 0)))
-    assert rules["111"] == tuple(zip(_RULE_COEFFS["block_111"], (2, 1, 0)))
+    assert rules["011"] == tuple(zip(_RULES["suffix_011"][2], (1, 0)))
+    assert rules["111"] == tuple(zip(_RULES["block_111"][2], (2, 1, 0)))
+    # Every linear rule of the k = 8 rewriting system: a suffix rule
+    # rewrites m.w into children m.u, each u read off the rule's own
+    # children at m = 1 and m = 13, so the rule is a(m.w) = sum of
+    # c * a(m.u) for every m >= 1, and m = 0 on the brute oracle.
+    suffixes = {
+        "strip_zeros": "0",
+        "suffix_01": "01",
+        "suffix_011": "011",
+        "block_111": "111",
+        "suffix_011011": "011011",
+        "suffix_101011": "101011",
+    }
+    linear = [rule for rule, (_, _, coeffs) in _RULES.items() if coeffs is not None]
+    assert sorted(linear) == sorted([*suffixes, "prefix_10101"])
+    for rule, w in suffixes.items():
+        fires, children, coeffs = _RULES[rule]
+        kids = []
+        for m in ("1", "1101"):
+            n = int(m + w, 2)
+            assert fires(n, n.bit_length()), rule
+            words = [bin(c)[2:] for c in children(n, n.bit_length())]
+            assert all(word.startswith(m) for word in words), rule
+            kids.append([word[len(m) :] for word in words])
+        assert kids[0] == kids[1] and len(kids[0]) == len(coeffs), rule
+        rows = [tuple(c * x for x in _word_row(8, u)) for c, u in zip(coeffs, kids[0])]
+        assert _word_row(8, w) == tuple(map(sum, zip(*rows))), rule
+        m0 = sum(c * brute_card(8, int(u or "0", 2)) for c, u in zip(coeffs, kids[0]))
+        assert brute_card(8, int(w, 2)) == m0, rule
+    # prefix_10101 rewrites 10101.x into 101.x and 1.x: the states at the
+    # prefixes themselves obey the rule, and the word of x is linear
+    _, children, coeffs = _RULES["prefix_10101"]
+    kids = children(0b10101, 5)
+    assert kids == (0b101, 0b1)
+    states = [tuple(c * x for x in matrix_state(kid)) for c, kid in zip(coeffs, kids)]
+    assert matrix_state(0b10101) == tuple(map(sum, zip(*states)))
 
 
 def test_value_rules_cover_every_index_once():
@@ -604,15 +640,17 @@ def test_sweep_picks_the_rules_of_select_rule():
         assert (seen == 1).all()
 
 
-def test_rule_generator_yields_the_public_rule_order():
-    """_rules tries the base values, then CORE_RULES in order, with the
-    OPTIONAL_RULES between gap_split and suffix_01, on ints and on level
-    arrays alike."""
+def test_rule_order_is_the_public_rule_order():
+    """_ORDER tries the base values, then CORE_RULES in order, with the
+    OPTIONAL_RULES between gap_split and suffix_01, and holds each rule's
+    own test and children from _RULES."""
     plain = ["base", *CORE_RULES]
     optional = plain[:3] + list(OPTIONAL_RULES) + plain[3:]
-    for n, length in ((0, 0), (27, 5), (2**70 + 5, 71), (np.arange(64, 128, dtype=np.int64), 7)):
-        assert [rule for rule, _ in _rules(n, length, False)] == plain
-        assert [rule for rule, _ in _rules(n, length, True)] == optional
+    assert [rule for rule, _, _ in _ORDER[False]] == plain
+    assert [rule for rule, _, _ in _ORDER[True]] == optional
+    assert sorted(_RULES) == sorted(optional)
+    for rule, fires, children in _ORDER[True]:
+        assert (fires, children) == _RULES[rule][:2]
 
 
 def test_reduce_sweep_equals_per_index_rewriting():
