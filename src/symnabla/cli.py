@@ -346,17 +346,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if not args.trace:
-        value = reduce_term(args.n, optional_rules=args.optional_rules)
-        record = {"n": args.n, "value": value, "optional_rules": args.optional_rules}
+    if args.trace:
+        value, trace = reduce_term(args.n, trace=True, optional_rules=args.optional_rules)
+    else:
+        value, trace = reduce_term(args.n, optional_rules=args.optional_rules), None
+    record = {"n": args.n, "value": value, "optional_rules": args.optional_rules}
+    if trace is None:
         _print_record(args.format, record, f"value {value}")
-        return 0
-    value, trace = reduce_term(args.n, trace=True, optional_rules=args.optional_rules)
-    if args.format == "plain":
+    elif args.format == "plain":
         print(trace.to_text())
         print(f"value {value}")
     else:  # json
-        text = json.dumps({"n": args.n, "value": value, "optional_rules": args.optional_rules})
+        text = json.dumps(record)
         # The trace is the last key, written by its own encoder, and in
         # slices, so that stdout never encodes a second copy of it at once.
         trace_text = trace.to_json()
