@@ -925,7 +925,8 @@ def power_card_sequence(
     powers.  H**(2m) is S with every key doubled, and H**(2m+1) is the
     disjoint union of the c * P_r**2, one sort of the doubled keys of
     P_r plus the key of c.  The powers m <= limit/2 are walked depth
-    first from m = 0, a node's odd child before its even one, so about
+    first from m = 0 (m <= over/2 once an index over past the cap is
+    found), a node's odd child before its even one, so about
     one power per bit length is pending.  The all-ones indices, where
     the set sizes grow fastest, come first (1, 11, 111, ...), so a
     capped sweep meets the first power over the cap after a number of
@@ -954,7 +955,7 @@ def power_card_sequence(
             over = min(over, 2 * m)
         odd = None
         if 2 * m + 1 < min(over, limit + 1):
-            keep = 2 * m + 1 <= limit // 2
+            keep = 2 * m + 1 <= min(over, limit) // 2
             parts = {} if keep else None
             card = cards[2 * m + 1] = _class_count(k, power, layout, parts)
             if card > max_elements:
@@ -962,7 +963,7 @@ def power_card_sequence(
             elif keep:
                 odd = layout.odd_power([(c, parts[r]) for c, r in layout.classes])
             del parts
-        if 0 < 2 * m <= limit // 2:
+        if 0 < 2 * m <= min(over, limit) // 2:
             stack.append((2 * m, layout.square(power)))
         if odd is not None:
             stack.append((2 * m + 1, odd))

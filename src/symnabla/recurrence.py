@@ -12,12 +12,20 @@ V(0) = (a(0), a(1), a(3)) cut the same way.  It is built from the two
 tables ``_SPARSE_RECURRENCES`` and ``_RULES``, and each of its rows is
 a value rule on the low bits of n.
 
+Every word engine takes its representation as one ``_Word`` record:
+V(0), A0 (per 0-bit), A1 (per 1-bit) and the functional that reads
+a(n) off a state.  There is one record per k for the minimal
+representation (functional e0) and one for the chain word
+(``_chain_word``), and the run table is cached on it: A1**L V(0)
+(``_run_vector``) and A1**L A0 (``_run_matrix``) for L < 64.
+
 * ``sparse_term(k, t)``: the subsequence at the all-ones indices
-  2**t - 1, the first component of A1**t V(0); ``sparse_terms`` steps
-  V(0) by A1 for a whole prefix;
+  2**t - 1, the first component of A1**t V(0) (``_ones_state``: the
+  run table below 64, repeated squaring from V(0) above);
+  ``sparse_terms`` steps V(0) by A1 for a whole prefix;
 * ``fast_term(k, n)`` for k <= 7: the term is the product of sparse
   terms over the maximal runs of 1-bits of n, each distinct run length
-  reached by sorted jumps of A1.  The underlying multiplicativity
+  read once through ``_ones_state``.  The underlying multiplicativity
   breaks at k = 8 (n = 11 is the smallest counterexample), so k = 8 is
   rejected;
 * ``matrix_term(n, k)`` for k in 4..8: a 5-state (k = 8) or 3-state
@@ -27,12 +35,11 @@ a value rule on the low bits of n.
   A power of the squaring matrix (g zeros in a row: g = 2 at k = 8,
   1 below) is the rank-one projector onto the initial state, so the
   word is cut at such gaps into blocks whose values multiply
-  (``_word_state``).  Inside a block, a leading run of L < 64 ones is
-  one cached vector (``_run_vector``), a zero and the run of L < 64
-  ones after it are one cached matrix (``_run_matrix``), and a longer
-  run is the step matrix to the power L.  These are the matrices
-  verify_transfer replays against sets, so they cross-check the
-  representation (``term(k, n, "matrix")``);
+  (``_word_state``).  Inside a block, the leading run of ones is
+  ``_ones_state``, a zero and the run of L < 64 ones after it are one
+  cached matrix, and a longer run is the step matrix to the power L.
+  These are the matrices verify_transfer replays against sets, so they
+  cross-check the representation (``term(k, n, "matrix")``);
 * ``reduce_term(n)`` for k = 8: a rewriting system on binary expansions
   with base cases {0, 1, 3} and five core rules (plus three optional
   shortcuts that never change values).  A plain value is the k = 8
@@ -113,42 +120,28 @@ def sparse_terms(k: int) -> Iterator[int]:
     by A1 of ``_representation``.  All rows of A1 but the last are unit
     shifts, so a step shifts V up and appends one dot product with the
     last row.  A k outside 1..8 raises on the first term."""
-    v, _, step = _representation(k)
-    last = step[-1]
+    word = _representation(k)
+    v, last = word.initial, word.a1[-1]
     while True:
         yield v[0]
         v = (*v[1:], sum(map(mul, last, v)))
 
 
-def _sparse_values(k: int, lengths: Iterable[int]) -> dict[int, int]:
-    """term(k, 2**t - 1) for each t in lengths, which are distinct.
-
-    Visits them in sorted order, carrying V(2**t - 1) from V(0) and
-    jumping from one length to the next with a power of A1, so the cost
-    follows the bit lengths of the jumps, not their sizes.
-    """
-    v, _, step = _representation(k)
-    t = 0
-    values = {}
-    for length in sorted(lengths):
-        v, t = _pow_vec(step, length - t, v), length
-        values[length] = v[0]
-    return values
-
-
 def sparse_term(k: int, t: int) -> int:
-    """term(k, 2**t - 1), by a power of A1 applied to V(0)."""
+    """term(k, 2**t - 1), the first component of A1**t V(0)
+    (``_ones_state``)."""
     if t < 0:
         raise DomainError(f"index must be >= 0, got {t}")
-    return _sparse_values(k, (t,))[t]
+    return _ones_state(_representation(k), t)[0]
 
 
 def fast_term(k: int, n: int) -> int:
     """Product of sparse terms over the maximal 1-runs of n (k <= 7).
 
-    Each distinct run length is evaluated once, by sorted jumps of A1
-    (``_sparse_values``), and raised to the number of runs of that
-    length: the gap width is 1 below k = 8, so this is the minimal
+    Each distinct run length L is evaluated once, as the first component
+    of A1**L V(0) from the minimal representation's run table
+    (``_ones_state``), and raised to the number of runs of that length:
+    the gap width is 1 below k = 8, so this is the minimal
     representation's word with every block a single run.  Rejects
     k = 8, where run-multiplicativity fails.
     """
@@ -161,12 +154,9 @@ def fast_term(k: int, n: int) -> int:
         raise DomainError(f"fast_term supports k in 1..7, got {k}")
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
+    word = _representation(k)
     runs = Counter(map(len, filter(None, bin(n)[2:].split("0"))))
-    values = _sparse_values(k, runs)
-    result = 1
-    for length, count in runs.items():
-        result *= values[length] ** count
-    return result
+    return prod(_ones_state(word, length)[0] ** count for length, count in runs.items())
 
 
 def gap_split_check(k: int, alpha: int, beta: int, s: int) -> bool:
@@ -199,13 +189,36 @@ def _product(values: Iterable[int]) -> int:
     return values[0]
 
 
+@dataclass(frozen=True, eq=False)
+class _Word:
+    """A linear representation read as a bit word: the state of n is
+    initial stepped by a1 per 1-bit and a0 per 0-bit of n, most
+    significant bit first, and the functional contracts it to a(n).
+    One record per k and word (``_chain_word``, ``_representation``);
+    it hashes by identity, so the run tables cache on it cheaply."""
+
+    initial: tuple[int, ...]
+    a0: tuple[tuple[int, ...], ...]
+    a1: tuple[tuple[int, ...], ...]
+    functional: tuple[int, ...]
+
+
 @cache
-def _gap_width(square, initial: tuple[int, ...], functional: tuple[int, ...]) -> int:
-    """The smallest g with square**g equal to the rank-one projector
+def _chain_word(k: int) -> _Word:
+    """The chain word for k in 4..8: the step and squaring matrices that
+    verify_transfer replays against sets, on 5 components at k = 8 and 3
+    for k in 4..7."""
+    square, step = squaring_matrix(k).rows, transfer_matrix(k).rows
+    return _Word(initial_vector(k), square, step, cardinality_functional(k))
+
+
+@cache
+def _gap_width(word: _Word) -> int:
+    """The smallest g with a0**g equal to the rank-one projector
     initial * functional: 2 at k = 8 and 1 below, for the chain word and
     the minimal representation alike."""
-    projector = vec_outer(initial, functional)
-    return next(g for g in range(1, len(square) + 1) if mat_pow(square, g) == projector)
+    projector = vec_outer(word.initial, word.functional)
+    return next(g for g in range(1, len(word.a0) + 1) if mat_pow(word.a0, g) == projector)
 
 
 # Runs of ones shorter than this are one cached vector at the head of a
@@ -216,43 +229,49 @@ _RUN_TABLE = 64
 
 
 @cache
-def _run_matrix(step, square, length: int) -> tuple[tuple[int, ...], ...]:
-    """step**length . square: a zero followed by a run of length ones,
-    built from the run one shorter."""
+def _run_matrix(word: _Word, length: int) -> tuple[tuple[int, ...], ...]:
+    """a1**length . a0: a zero followed by a run of length ones, built
+    from the run one shorter."""
     if length == 0:
-        return square
-    return mat_mul(step, _run_matrix(step, square, length - 1))
+        return word.a0
+    return mat_mul(word.a1, _run_matrix(word, length - 1))
 
 
 @cache
-def _run_vector(step, initial: tuple[int, ...], length: int) -> tuple[int, ...]:
-    """step**length . initial: a block's leading run of length ones,
-    built from the run one shorter."""
+def _run_vector(word: _Word, length: int) -> tuple[int, ...]:
+    """a1**length . initial for length < _RUN_TABLE, built from the run
+    one shorter."""
     if length == 0:
-        return initial
-    return mat_vec(step, _run_vector(step, initial, length - 1))
+        return word.initial
+    return mat_vec(word.a1, _run_vector(word, length - 1))
 
 
-def _block_state(block: str, step, square, initial: tuple[int, ...]) -> tuple[int, ...]:
-    """The state of one block's bit word: step**L for a run of L ones,
-    the squaring matrix at each zero.  A leading run of L < 64 ones is
-    one cached vector (``_run_vector``), and a zero and the run of
-    L < 64 ones after it are one matrix-vector product with
+def _ones_state(word: _Word, length: int) -> tuple[int, ...]:
+    """a1**length . initial, the state of length ones: ``_run_vector``
+    below _RUN_TABLE, repeated squaring from initial at or above it."""
+    if length < _RUN_TABLE:
+        return _run_vector(word, length)
+    return _pow_vec(word.a1, length, word.initial)
+
+
+def _block_state(block: str, word: _Word) -> tuple[int, ...]:
+    """The state of one block's bit word: a1**L for a run of L ones, a0
+    at each zero.  The leading run is ``_ones_state``, and a zero and
+    the run of L < 64 ones after it are one matrix-vector product with
     ``_run_matrix``."""
     runs = block.split("0")
-    lead = len(runs[0])
-    v = _run_vector(step, initial, lead) if lead < _RUN_TABLE else _pow_vec(step, lead, initial)
+    v = _ones_state(word, len(runs[0]))
     for run in runs[1:]:
         if len(run) < _RUN_TABLE:
-            v = mat_vec(_run_matrix(step, square, len(run)), v)
+            v = mat_vec(_run_matrix(word, len(run)), v)
         else:
-            v = _pow_vec(step, len(run), mat_vec(square, v))
+            v = _pow_vec(word.a1, len(run), mat_vec(word.a0, v))
     return v
 
 
-def _word_state(n: int, initial, step, square, functional) -> tuple[int, ...]:
+def _word_state(n: int, word: _Word) -> tuple[int, ...]:
     """The state of n's bit word: read most significant bit first, the
-    word applies step per 1-bit and square per 0-bit to initial.
+    word applies a1 per 1-bit and a0 per 0-bit to initial.
 
     g zeros in a row, g from ``_gap_width``, apply the projector
     initial * functional, so the word is split at every g zeros into
@@ -265,28 +284,27 @@ def _word_state(n: int, initial, step, square, functional) -> tuple[int, ...]:
     matrix, and only a run of 64 ones or more goes through repeated
     squaring.  Equal blocks are evaluated once.
     """
-    *head, last = bin(n)[2:].split("0" * _gap_width(square, initial, functional))
+    *head, last = bin(n)[2:].split("0" * _gap_width(word))
     scale = _product(
-        sum(map(mul, functional, _block_state(block, step, square, initial))) ** count
+        sum(map(mul, word.functional, _block_state(block, word))) ** count
         for block, count in Counter(head).items()
     )
-    return tuple(scale * x for x in _block_state(last, step, square, initial))
+    return tuple(scale * x for x in _block_state(last, word))
 
 
 def matrix_state(n: int, k: int = 8) -> tuple[int, ...]:
-    """The structural state at index n: ``_word_state`` with the step
-    and squaring matrices that verify_transfer replays against sets, on
-    5 components at k = 8 and 3 for k in 4..7."""
+    """The structural state at index n: ``_word_state`` of the chain
+    word (``_chain_word``), on 5 components at k = 8 and 3 for k in
+    4..7."""
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
-    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
-    return _word_state(n, initial_vector(k), step, square, cardinality_functional(k))
+    return _word_state(n, _chain_word(k))
 
 
 def matrix_term(n: int, k: int = 8) -> int:
     """term(k, n) = functional . matrix_state(n, k), exact for any n >= 0
     and k in 4..8."""
-    return sum(map(mul, cardinality_functional(k), matrix_state(n, k)))
+    return sum(map(mul, _chain_word(k).functional, matrix_state(n, k)))
 
 
 def _sweep_array(k: int, limit: int, max_elements: int) -> np.ndarray:
@@ -336,18 +354,18 @@ def matrix_term_range(
     The last bit length needs only values, so its parents' states are
     multiplied by square_t @ functional and step_t @ functional instead.
     """
-    step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
+    word = _chain_word(k)
     values = _sweep_array(k, limit, max_elements)
-    step_t = np.array(step, dtype=values.dtype).T
-    square_t = np.array(square, dtype=values.dtype).T
-    functional = np.array(cardinality_functional(k), dtype=values.dtype)
-    initial = np.array([initial_vector(k)], dtype=values.dtype)
+    step_t = np.array(word.a1, dtype=values.dtype).T
+    square_t = np.array(word.a0, dtype=values.dtype).T
+    functional = np.array(word.functional, dtype=values.dtype)
+    initial = np.array([word.initial], dtype=values.dtype)
     values[0] = (initial @ functional)[0]
     states, lo = initial @ step_t, 1  # the states of lo..2 lo - 1
     while 4 * lo <= limit:
         values[lo : 2 * lo] = states @ functional
         parents = states
-        states = np.empty((2 * len(parents), len(step)), dtype=values.dtype)
+        states = np.empty((2 * len(parents), len(word.a1)), dtype=values.dtype)
         states[0::2] = parents @ square_t
         states[1::2] = parents @ step_t
         lo *= 2
@@ -690,9 +708,7 @@ def reduce_term(
     if n < 0:
         raise DomainError(f"index must be >= 0, got {n}")
     if cache is None and not trace:
-        initial, a0, a1 = _representation(8)
-        first = (1,) + (0,) * (len(initial) - 1)
-        return _word_state(n, initial, a1, a0, first)[0]
+        return _word_state(n, _representation(8))[0]
     lookup = cache is not None and not trace
     if lookup and n in cache:
         return cache[n]
@@ -728,9 +744,10 @@ def reduce_term(
 
 
 @cache
-def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
-    """a_k's minimal linear representation (V(0), A0, A1) for k in 1..8,
-    built from ``_SPARSE_RECURRENCES`` and ``_RULES``.
+def _representation(k: int) -> _Word:
+    """a_k's minimal linear representation for k in 1..8 as a ``_Word``:
+    V(0), A0, A1 and the functional e0, built from
+    ``_SPARSE_RECURRENCES`` and ``_RULES``.
 
     V(n) = (a(n), a(n.1), ..., a(n.1**(r-1))) has r = 1, 2, 3 components
     for k = 1..3, 4..7, 8, where m.w is the index whose binary expansion
@@ -757,7 +774,7 @@ def _representation(k: int) -> tuple[tuple[int, ...], tuple, tuple]:
     rows = ((1,), seeds[1:2], _RULES["suffix_011"][2][::-1])[:r]
     a0 = tuple(row + (0,) * (r - len(row)) for row in rows)
     a1 = mat_identity(r)[1:] + ((0,) * (r - len(coeffs)) + coeffs[::-1],)
-    return seeds, a0, a1
+    return _Word(seeds, a0, a1, mat_identity(r)[0])
 
 
 def term_range(k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
@@ -771,14 +788,14 @@ def term_range(k: int, limit: int, *, max_elements: int = DEFAULT_ELEMENT_CAP) -
     """
     if not 1 <= k <= 8:
         raise DomainError(f"term_range covers k in 1..8, got {k}")
-    initial, a0, a1 = _representation(k)
-    suffixes = ["0" + "1" * i for i in range(len(a0))] + ["1" * len(a1)]
+    word = _representation(k)
+    suffixes = ["0" + "1" * i for i in range(len(word.a0))] + ["1" * len(word.a1)]
     rules = [
         (suffix, [(row[t], t) for t in reversed(range(len(row))) if row[t]])
-        for suffix, row in zip(suffixes, a0 + a1[-1:])
+        for suffix, row in zip(suffixes, word.a0 + word.a1[-1:])
     ]
     values = _sweep_array(k, limit, max_elements)
-    values[0] = initial[0]
+    values[0] = word.initial[0]
     lo = 1
     while lo <= limit:
         hi = min(2 * lo - 1, limit)
@@ -872,10 +889,8 @@ def matrix_identity_suite() -> IdentityReport:
     n in blocks and are the backbone of the rewriting rules: the
     coefficients checked are the ones ``_RULES`` holds.
     """
-    step = transfer_matrix(8).rows
-    square = squaring_matrix(8).rows
-    functional = cardinality_functional(8)
-    initial = initial_vector(8)
+    word = _chain_word(8)
+    step, square, functional, initial = word.a1, word.a0, word.functional, word.initial
     dim = len(step)
 
     def dot(u, v):
@@ -950,12 +965,11 @@ def annihilation_check(k: int) -> bool:
     zeros to degree len(seeds) because only the terms after the seeds obey
     it, kill the cardinality functional against the step matrix?  Exact,
     k in 4..8."""
-    step = transfer_matrix(k).rows  # rejects k outside 4..8
-    functional = cardinality_functional(k)
+    word = _chain_word(k)  # rejects k outside 4..8
     seeds, recurrence = _SPARSE_RECURRENCES[k]
     coeffs = (1,) + tuple(-c for c in recurrence)
     coeffs += (0,) * (len(seeds) + 1 - len(coeffs))
-    rows = [functional]
+    rows = [word.functional]
     for _ in range(len(coeffs) - 1):
-        rows.append(vec_mat(rows[-1], step))
+        rows.append(vec_mat(rows[-1], word.a1))
     return not any(vec_mat(coeffs, rows[::-1]))

@@ -330,6 +330,14 @@ def test_chains_plain(capsys):
         "C base=5 len=1",
         "C base=7 len=1",
     ]
+    for argv, rows in [
+        ("chains --k 8 --n 1 --format csv", "A,1,4\nA,3,2\nC,5,1\nC,7,1\n"),
+        (
+            "chains --k 4 --n 2 --format csv",
+            "A,1,2\nA,9,3\nA,32,2\nC,3,1\nC,8,1\nC,12,1\nC,27,1\nC,48,1\n",
+        ),
+    ]:
+        assert run_cli(capsys, *argv.split()) == (0, "kind,base,length\n" + rows, ""), argv
 
 
 def test_chains_json(capsys):
@@ -546,6 +554,12 @@ def test_domain_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "term", "--k", "0", "--n", "1")
     assert code == 2
     assert err == "error: k must be in 1..64, got 0\n"
+    for argv, message in [
+        ("chains --k 8 --n -1", "exponent must be >= 0, got -1"),
+        ("structure --k 8 --n -1", "exponent must be >= 0, got -1"),
+        ("term --k 5 --n -1", "index must be >= 0, got -1"),
+    ]:
+        assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize(

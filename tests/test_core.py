@@ -131,6 +131,8 @@ def test_power_zero_is_identity_set():
     assert sym_power(3, 0).values() == [1]
     with pytest.raises(DomainError):
         sym_power(8, -1)
+    with pytest.raises(DomainError, match="^limit must be >= 0, got -1$"):
+        power_card_sequence(8, -1)
 
 
 def test_square_matches_doubled_power():
@@ -240,8 +242,8 @@ def test_power_layout_boundary(monkeypatch):
     assert calls == []  # power 62 is wide, but brute_card takes the layout of its odd part 31
     # a sweep sizes its fields for its limit; the cap stops it at power 3
     # the wide sweep multiplies S = H**m by the five Q_r with r > 1 for a(1) and a(3),
-    # then squares H**1 into H**2, a node that it skips, as the key sweep does
-    for limit, path in [(7, []), (8, ["sym_prod"] * 10 + ["sym_square"])]:
+    # and forms no power past H**1: H**2 would only serve indices past 3
+    for limit, path in [(7, []), (8, ["sym_prod"] * 10)]:
         calls.clear()
         with pytest.raises(SizeLimitError, match="reached 2780 elements, over the cap 100"):
             power_card_sequence(64, limit, max_elements=100)
@@ -292,10 +294,11 @@ def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
     most max_elements elements.  Without a cap every m with
     2m + 1 <= limit is multiplied or sized; with one the sweep refuses
     the first a(n) over it.  Only a product whose odd power
-    H**(2m + 1) the sweep does not build, 2m + 1 > limit // 2, is
-    sized.  The walk takes a node's odd child first, so the capped
-    cases here meet their first power over the cap on the all-ones
-    path and refuse before they size any product."""
+    H**(2m + 1) the sweep does not build is sized:
+    2m + 1 > min(over, limit) // 2, with over the first index over the
+    cap found so far (limit + 1 while there is none).  The walk takes a
+    node's odd child first, so the capped cases here meet their first
+    power over the cap on the all-ones path, at a(15)."""
     cases = [(4, 40, None), (8, 40, None), (9, 33, None), (8, 40, 300), (9, 33, 400)]
     expect = {}
     for k, limit, cap in cases:
@@ -337,25 +340,41 @@ def test_sweep_multiplies_only_powers_up_to_half_the_limit(monkeypatch, wide):
         if cap is None:
             assert multiplied == set(range((limit - 1) // 2 + 1))
         if not wide:
-            assert only_sized == {m for m in multiplied if 2 * m + 1 > limit // 2}
-            assert (only_sized != set()) == (cap is None)
+            if cap is None:
+                assert only_sized == {m for m in multiplied if 2 * m + 1 > limit // 2}
+            else:
+                # m = 0, 1, 3 and 7 form their products before m = 7 finds a(15) over the
+                # cap; then only 2m + 1 <= 15 // 2 keeps, so m = 2 forms its products and
+                # m = 4, 5 (a(11) is over the cap too) and 6 only size theirs
+                assert only_sized == {4, 5, 6}
 
 
 @pytest.mark.parametrize("k", [8, 9, 12, 16])
 def test_sweep_refusal_work_does_not_grow_with_the_limit(monkeypatch, k):
     """The walk takes a node's odd child first, so it meets the first
     power over the cap along 1, 11, 111, ...: the class counts made
-    before the refusal, and its text, are the same at every limit."""
-    calls = []
-    count = core._class_count
-    monkeypatch.setattr(core, "_class_count", lambda *args: calls.append(None) or count(*args))
+    before the refusal, and its text, are the same at every limit.  No
+    index past the first one over the cap, over, is needed, so the odd
+    powers formed are exactly the H**j with j odd and j <= over // 2,
+    in the packed layout (k = 12 at limit 16383, k = 16 from 4095) and
+    on SymSet rows alike."""
+    cap = 10**5
+    over = next(n for n in range(256) if brute_card(k, n) > cap)
+    text = f"symmetric power reached {brute_card(k, over)} elements, over the cap {cap}"
+    calls, odd = [], []
+    classes = core._class_count
+    monkeypatch.setattr(core, "_class_count", lambda *args: calls.append(None) or classes(*args))
+    for name in ("_odd_keys", "_odd_rows"):
+        step = getattr(core, name)
+        monkeypatch.setattr(core, name, lambda parts, step=step: odd.append(None) or step(parts))
     outcomes = set()
     for limit in (255, 1023, 4095, 16383):
         calls.clear()
+        odd.clear()
         with pytest.raises(SizeLimitError) as refusal:
-            power_card_sequence(k, limit, max_elements=10**5)
-        outcomes.add((len(calls), str(refusal.value)))
-    assert len(outcomes) == 1, outcomes
+            power_card_sequence(k, limit, max_elements=cap)
+        outcomes.add((len(calls), len(odd), str(refusal.value)))
+    assert outcomes == {(len(calls), (over // 2 + 1) // 2, text)}, outcomes
 
 
 def unsliced(ka, kb):

@@ -160,6 +160,8 @@ def test_crosscheck_domain_errors():
         crosscheck(5, bf, 0)  # no listed sequence beyond k = 4
     with pytest.raises(DomainError):
         crosscheck(0, bf, 0)
+    with pytest.raises(DomainError, match="^limit must be >= 0, got -1$"):
+        crosscheck(2, bf, -1)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):

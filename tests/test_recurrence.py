@@ -29,6 +29,7 @@ from symnabla.recurrence import (
     ReductionTrace,
     _ORDER,
     _RULES,
+    _chain_word,
     _combine,
     _gap_width,
     _level_rules,
@@ -109,6 +110,10 @@ def test_fast_term_rejects_k8():
     assert "n=11" in str(err.value)
     assert brute_card(8, 11) == 368
     assert sparse_term(8, 1) * sparse_term(8, 2) == 384
+    with pytest.raises(DomainError, match="^fast_term supports k in 1..7, got 9$"):
+        fast_term(9, 1)
+    with pytest.raises(DomainError, match="^index must be >= 0, got -1$"):
+        fast_term(5, -1)
 
 
 def test_fast_term_huge_indices():
@@ -236,9 +241,10 @@ def run_table_words():
 def representation_walk(n, k):
     """The minimal representation one bit at a time, most significant
     first: A1 per 1-bit and A0 per 0-bit, applied to V(0)."""
-    v, a0, a1 = _representation(k)
+    word = _representation(k)
+    v = word.initial
     for bit in bin(n)[2:]:
-        v = mat_vec(a1 if bit == "1" else a0, v)
+        v = mat_vec(word.a1 if bit == "1" else word.a0, v)
     return v
 
 
@@ -251,10 +257,8 @@ def test_run_table_equals_the_per_bit_walk():
         for n in words:
             assert matrix_state(n, k) == walk_state(n, k), (k, n)
     for k in range(2, 9):
-        initial, a0, a1 = _representation(k)
-        first = mat_identity(len(initial))[0]
         for n in words:
-            assert _word_state(n, initial, a1, a0, first) == representation_walk(n, k), (k, n)
+            assert _word_state(n, _representation(k)) == representation_walk(n, k), (k, n)
 
 
 def test_term_at_k8_equals_the_chain_word_on_the_huge_index_grid():
@@ -303,7 +307,8 @@ def test_representation_is_the_minimised_chain_word():
     Below k = 4 there is no chain word, and the rank-1 word is
     k**popcount(n)."""
     for k in range(4, 9):
-        initial, a0, a1 = _representation(k)
+        word = _representation(k)
+        initial, a0, a1 = word.initial, word.a0, word.a1
         r = len(initial)
         assert r == (3 if k == 8 else 2)
         step, square = transfer_matrix(k).rows, squaring_matrix(k).rows
@@ -314,10 +319,11 @@ def test_representation_is_the_minimised_chain_word():
         assert mat_mul(rows, square) == mat_mul(a0, rows), k
         assert mat_vec(rows, initial_vector(k)) == initial, k
         first = mat_identity(r)[0]
-        width = _gap_width(a0, initial, first)
-        assert width == _gap_width(square, initial_vector(k), cardinality_functional(k))
+        assert word.functional == first
+        width = _gap_width(word)
+        assert width == _gap_width(_chain_word(k))
         assert width == (2 if k == 8 else 1)
-        reached = [_word_state(n, initial, a1, a0, first) for n in range(r)]
+        reached = [_word_state(n, word) for n in range(r)]
         assert _det(reached) != 0, k
         unit_rows = [first]
         for _ in range(r - 1):
@@ -326,11 +332,11 @@ def test_representation_is_the_minimised_chain_word():
         assert a1[:-1] == mat_identity(r)[1:], k  # unit shifts, as sparse_terms steps
     rng = random.Random(20261023)
     for k in (2, 3):
-        initial, a0, a1 = _representation(k)
-        assert len(initial) == 1 and a1[:-1] == ()
-        assert _gap_width(a0, initial, (1,)) == 1
+        word = _representation(k)
+        assert len(word.initial) == 1 and word.a1[:-1] == () and word.functional == (1,)
+        assert _gap_width(word) == 1
         for n in list(range(1 << 10)) + [rng.getrandbits(bits) for bits in (64, 500, 3000)]:
-            assert _word_state(n, initial, a1, a0, (1,)) == (k ** bin(n).count("1"),), (k, n)
+            assert _word_state(n, word) == (k ** bin(n).count("1"),), (k, n)
 
 
 def test_matrix_term_matches_brute():
@@ -364,7 +370,8 @@ def row_rules(k):
     read as the value rule a(m.suffix) = sum of c * a(m.1**t): row i of
     A0 is the rule for the suffix 0.1**i and A1's last row the rule for
     1**r, with a child at each nonzero column t, t descending."""
-    _, a0, a1 = _representation(k)
+    word = _representation(k)
+    a0, a1 = word.a0, word.a1
     suffixes = ["0" + "1" * i for i in range(len(a0))] + ["1" * len(a1)]
     return [
         (suffix, tuple((row[t], t) for t in reversed(range(len(row))) if row[t]))
@@ -458,10 +465,12 @@ def test_value_rules_read_only_earlier_doublings():
 def test_representation_at_k8_is_the_literal_table():
     """V(0) is a(0), a(1), a(3); A0 is strip_zeros, suffix_01 and
     suffix_011 at bit 0; A1 shifts and ends in block_111 reversed."""
-    assert _representation(8) == (
+    word = _representation(8)
+    assert (word.initial, word.a0, word.a1, word.functional) == (
         (1, 8, 48),
         ((1, 0, 0), (8, 0, 0), (40, 1, 0)),
         ((0, 1, 0), (0, 0, 1), (-24, -2, 7)),
+        (1, 0, 0),
     )
 
 
@@ -574,6 +583,9 @@ def test_reduce_optional_rules_agree():
 def test_reduce_rejects_negative():
     with pytest.raises(DomainError):
         reduce_term(-5)
+    for negative in (lambda: matrix_state(-1), lambda: term(5, -1)):
+        with pytest.raises(DomainError, match="^index must be >= 0, got -1$"):
+            negative()
 
 
 def select_rule_by_strings(n, optional_rules):
