@@ -25,8 +25,12 @@ at least 2 below).
 One numpy pass (``_split_runs``) finds every run as arrays of group,
 starting exponent of 2 and length, from a set's exponent rows
 (``_chain_runs``) or, in ``verify_transfer``, from packed keys
-(``_key_runs``).  The census and all checks are computed from those
-arrays; ``Chain`` objects are built only by ``decompose``.
+(``_key_runs``).  It numbers groups at run starts only, never per
+member.  The census and all checks are computed from those arrays;
+``Chain`` objects are built only by ``decompose``.  ``_check_runs``
+rebuilds the members with one ``cumsum`` per kind and, when they
+partition the keys, settles the gap check by counting close
+neighbours; run ids are formed only to name the pairs of a failure.
 
 Matrix arithmetic in this module is exact: plain Python integers in
 nested tuples.
@@ -154,21 +158,37 @@ _Runs = dict[ChainKind, tuple[np.ndarray, np.ndarray, np.ndarray]]
 def _split_runs(edge: np.ndarray, e2: np.ndarray, k: int) -> _Runs:
     """Split members sorted by (odd part, exponent of 2) into runs, A
     phase first, then B (k = 8 only), then C.  edge is the ``_run_edges``
-    mask of the odd parts, marking the first member of each group, and
-    e2 holds the exponents of 2."""
-    group = np.cumsum(edge[:-1]) - 1
+    mask of the odd parts, marking the first member of each group plus a
+    sentinel past the end, and e2 holds the exponents of 2.
+
+    No member gets a group id.  A phase marks a run start wherever edge
+    does or the exponent steps by anything but the phase's ratio.  Every
+    group start is a run start, so a ``cumsum`` of edge over the run
+    starts alone numbers their groups, and a run's length is the
+    distance to the next start.  The members a phase leaves over are
+    exactly the starts of its runs of length 1, so they are read off the
+    starts, and the next phase takes its edge from their group ids."""
     empty = np.empty(0, dtype=np.int64)
     runs: _Runs = {"B": (empty, empty, empty)}
+    group = None  # the group ids of the members left, once a phase took runs
     for kind in ("A", "B") if k == 8 else ("A",):
-        brk = np.ones(len(e2), dtype=bool)
-        np.not_equal(group[1:], group[:-1], out=brk[1:])
-        brk[1:] |= (e2[1:] - e2[:-1]) != _STEP_RATIO[kind]
-        starts = np.flatnonzero(brk)
-        lengths = np.diff(starts, append=len(e2))
+        if group is not None:
+            edge = _run_edges(group)
+        brk = edge.copy()
+        brk[1:-1] |= (e2[1:] - e2[:-1]) != _STEP_RATIO[kind]
+        bounds = np.flatnonzero(brk)
+        starts = bounds[:-1]
+        if len(starts) == len(e2):  # every run has length 1: all stay
+            runs[kind] = (empty, empty, empty)
+            continue
+        lengths = bounds[1:] - starts
+        heads = np.cumsum(edge[starts]) - 1 if group is None else group[starts]
         chain = lengths >= 2
-        runs[kind] = (group[starts[chain]], e2[starts[chain]], lengths[chain])
-        left = np.repeat(~chain, lengths)
-        group, e2 = group[left], e2[left]
+        runs[kind] = (heads[chain], e2[starts[chain]], lengths[chain])
+        single = ~chain
+        group, e2 = heads[single], e2[starts[single]]
+    if group is None:
+        group = np.cumsum(edge[:-1]) - 1
     runs["C"] = (group, e2, np.ones(len(e2), dtype=np.int64))
     return runs
 
@@ -415,25 +435,71 @@ class TransferReport:
         return "\n".join(lines)
 
 
+def _run_members(odd, runs, w: int, step: int) -> np.ndarray:
+    """The keys of one kind's runs, run by run: one ``cumsum`` of the
+    kind's step, restarted at each run head by that run's first key
+    minus the previous run's last member.  Runs of length 1 are their
+    first keys.  Runs are nonempty, as ``_split_runs`` makes them."""
+    group, start, length = runs
+    first = (odd[group] << w) + start
+    if int(length.sum()) == len(length):
+        return first
+    heads = np.cumsum(length) - length
+    members = np.full(heads[-1] + length[-1], step)
+    members[heads] = first
+    members[heads[1:]] -= first[:-1] + step * (length[:-1] - 1)
+    return np.cumsum(members, out=members)
+
+
 def _check_runs(keys, odd, runs: _Runs, w: int, maxima, k: int, n: int, failures: list) -> None:
     """Partition and gap checks of the runs ``_key_runs`` split from keys.
-    Every run member is formed as a key, with its run id (A, then B,
-    then C); each kind is in key order, so a stable sort merges them."""
+
+    Each kind's members (``_run_members``) are in key order, so a stable
+    sort merges the kinds, and the runs partition the keys exactly when
+    the sorted members equal them.
+
+    Distinct chains may not concatenate: sorted neighbours of different
+    runs with the same odd part must be at least min_gap apart in the
+    exponent of 2 (3 at k = 8, 2 below).  When the partition holds, this
+    is settled by a count, without run ids.  Let C be the number of
+    sorted neighbours less than min_gap apart, S = sum(length - 1) the
+    number of steps inside runs, X the close neighbours of different
+    runs and I the steps some other key sits inside.  A step (1 or 2)
+    is less than min_gap, so C = S - I + X.  Only a step of 2, from m to
+    m + 2, can be interrupted, by the one key m + 1, and then (m, m + 1)
+    and (m + 1, m + 2) are both counted in X.  Sending each interrupted
+    step to its right pair is one-to-one and misses the smallest pair
+    counted in X, whose left partner would be smaller still, so
+    X >= I + 1 whenever X > 0, and C = S exactly when X = 0.  C takes
+    neighbours of any odd part; in k's key layout the field of 2 leaves
+    keys of different odd parts at least min_gap apart, so those never
+    count.
+
+    When the partition fails or C differs from S, ``_report_runs``
+    reports both checks pair by pair.
+    """
+    members = np.concatenate([_run_members(odd, runs[kind], w, _STEP_RATIO[kind]) for kind in _KINDS])
+    min_gap = 3 if k == 8 else 2
+    if np.array_equal(np.sort(members, kind="stable"), keys):
+        runs_count = sum(len(runs[kind][2]) for kind in _KINDS)
+        if np.count_nonzero((keys[1:] - keys[:-1]) < min_gap) == len(keys) - runs_count:
+            return
+    _report_runs(keys, odd, runs, members, w, maxima, k, n, min_gap, failures)
+
+
+def _report_runs(keys, odd, runs: _Runs, members, w: int, maxima, k: int, n: int, min_gap: int, failures: list) -> None:
+    """The partition and gap failures of a level ``_check_runs`` could
+    not pass.  Each member, in ``_check_runs``' order, gets its run id
+    (A, then B, then C), the members are sorted with their ids, and
+    every close pair of different runs on one odd part is named."""
     group, start, length = (np.concatenate([runs[kind][i] for kind in _KINDS]) for i in range(3))
-    step = np.repeat([_STEP_RATIO[kind] for kind in _KINDS], [len(runs[kind][0]) for kind in _KINDS])
     run_id = np.repeat(np.arange(len(length)), length)
-    # member j of a run starting at slot i is its first key plus step * (j - i)
-    members = np.repeat((odd[group] << w) + start - step * (np.cumsum(length) - length), length)
-    members += step[run_id] * np.arange(len(run_id))
     order = np.argsort(members, kind="stable")
     members, run_id = members[order], run_id[order]
     # The keys are distinct and ascending: equal means covered once.
     if not np.array_equal(members, keys):
         slots = f"{len(members)} chain slots, {len(np.unique(members))} distinct"
         failures.append(TransferFailure(k, n, "partition", None, f"{len(keys)} elements covered once", slots))
-    # Distinct chains may not concatenate: keys with the same odd part
-    # must be at least min_gap apart (in the exponent of 2).
-    min_gap = 3 if k == 8 else 2
     gap = members[1:] - members[:-1]
     close = (gap < min_gap) & (run_id[1:] != run_id[:-1]) & ((members[1:] >> w) == (members[:-1] >> w))
     if not close.any():

@@ -25,9 +25,11 @@ representation (functional e0) and one for the chain word
   ``sparse_terms`` steps V(0) by A1 for a whole prefix;
 * ``fast_term(k, n)`` for k <= 7: the term is the product of sparse
   terms over the maximal runs of 1-bits of n, each distinct run length
-  read once through ``_ones_state``.  The underlying multiplicativity
-  breaks at k = 8 (n = 11 is the smallest counterexample), so k = 8 is
-  rejected;
+  read once: below 64 from the run table, from 64 up in ascending
+  order, each state a jump by a power of A1 from the last unless the
+  walk from V(0) is shorter.  The
+  underlying multiplicativity breaks at k = 8 (n = 11 is the smallest
+  counterexample), so k = 8 is rejected;
 * ``matrix_term(n, k)`` for k in 4..8: a 5-state (k = 8) or 3-state
   matrix word read off the bits of n, most significant first - the
   step matrix per 1-bit, the squaring matrix per 0-bit - applied to
@@ -139,10 +141,16 @@ def fast_term(k: int, n: int) -> int:
     """Product of sparse terms over the maximal 1-runs of n (k <= 7).
 
     Each distinct run length L is evaluated once, as the first component
-    of A1**L V(0) from the minimal representation's run table
-    (``_ones_state``), and raised to the number of runs of that length:
-    the gap width is 1 below k = 8, so this is the minimal
-    representation's word with every block a single run.  Rejects
+    of A1**L V(0), and raised to the number of runs of that length: the
+    gap width is 1 below k = 8, so this is the minimal representation's
+    word with every block a single run.  The lengths are visited in
+    ascending order.  Those below _RUN_TABLE are read from the run table
+    (``_run_vector``).  Each longer one jumps from the state of the one
+    before by a power of A1, one product per 1-bit of the jump, unless
+    the walk from V(0) (``_ones_state``) has no more 1-bits, so close
+    lengths cost a product or two each however long they are.  Their
+    factors are big, so they are multiplied in a balanced tree
+    (``_product``), and then by the short runs' product.  Rejects
     k = 8, where run-multiplicativity fails.
     """
     if k == 8:
@@ -156,7 +164,16 @@ def fast_term(k: int, n: int) -> int:
         raise DomainError(f"index must be >= 0, got {n}")
     word = _representation(k)
     runs = Counter(map(len, filter(None, bin(n)[2:].split("0"))))
-    return prod(_ones_state(word, length)[0] ** count for length, count in runs.items())
+    value, factors, t, v = 1, [], 0, word.initial
+    for length, count in sorted(runs.items()):
+        if length < _RUN_TABLE:
+            value *= _run_vector(word, length)[0] ** count
+        else:
+            if (length - t).bit_count() >= length.bit_count():
+                t, v = 0, word.initial  # the walk from V(0) takes no more products
+            v, t = _pow_vec(word.a1, length - t, v), length
+            factors.append(v[0] ** count)
+    return value * _product(factors)
 
 
 def gap_split_check(k: int, alpha: int, beta: int, s: int) -> bool:

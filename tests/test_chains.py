@@ -464,6 +464,23 @@ def _split_a_run(odd, runs):
     return runs
 
 
+def _interleave_runs(odd, runs):
+    """Turn the first A run of length 4, m..m + 3, into the B runs
+    {m, m + 2} and {m + 1, m + 3}: the partition stays intact, but each
+    B run's member sits between two members of the other, on one odd
+    part."""
+    group, start, length = runs["A"]
+    four = np.flatnonzero(length == 4)
+    if len(four):
+        i = int(four[0])
+        runs["A"] = tuple(np.delete(a, i) for a in runs["A"])
+        added = ([group[i]] * 2, [start[i], start[i] + 1], [2, 2])
+        b_group, b_start, b_length = (np.concatenate((a, extra)) for a, extra in zip(runs["B"], added))
+        order = np.lexsort((b_start, b_group))
+        runs["B"] = (b_group[order], b_start[order], b_length[order])
+    return runs
+
+
 def _bump_step_row(monkeypatch):
     rows = [list(r) for r in chains_mod._STEP_ROWS[8]]
     rows[0][0] += 1
@@ -482,10 +499,11 @@ def _bump_square_row(monkeypatch):
         ("partition", lambda mp: _patch_runs(mp, _drop_member)),
         ("partition", lambda mp: _patch_runs(mp, _merge_runs)),
         ("chain_gap", lambda mp: _patch_runs(mp, _split_a_run)),
+        ("chain_gap", lambda mp: _patch_runs(mp, _interleave_runs)),
         ("vector", _bump_step_row),
         ("square", _bump_square_row),
     ],
-    ids=["drop_member", "merge_runs", "split_a_run", "step_row", "square_row"],
+    ids=["drop_member", "merge_runs", "split_a_run", "interleave_runs", "step_row", "square_row"],
 )
 def test_verify_transfer_reports_each_fault(check, fault, monkeypatch, capsys):
     fault(monkeypatch)
@@ -506,6 +524,34 @@ def test_chain_gap_failure_text(monkeypatch):
         "k=8 n=1 chain_gap: expected gap >= 3 between chains A base=1 "
         "and A base=4, got gap 1"
     )
+
+
+def test_interleaved_runs_report_chain_gap_not_partition(monkeypatch):
+    """Two B runs threaded through each other cover every key once, so
+    only the gap check can see them: the count of close neighbours
+    exceeds sum(length - 1), and the run-id pass names each pair."""
+    _patch_runs(monkeypatch, _interleave_runs)
+    failures = verify_transfer(8, 3).failures
+    assert "partition" not in {f.check for f in failures}
+    gaps = [f.message() for f in failures if f.check == "chain_gap"]
+    assert gaps[:3] == [
+        "k=8 n=1 chain_gap: expected gap >= 3 between chains B base=1 and B base=2, got gap 1",
+        "k=8 n=1 chain_gap: expected gap >= 3 between chains B base=2 and B base=1, got gap 1",
+        "k=8 n=1 chain_gap: expected gap >= 3 between chains B base=1 and B base=2, got gap 1",
+    ]
+    assert {f.n for f in failures if f.check == "chain_gap"} == {1, 2, 3}
+
+
+def test_passing_levels_form_no_run_ids(monkeypatch):
+    """On real sets the count of close neighbours settles every level
+    of the benchmark's replays, so the pair-by-pair report never runs."""
+
+    def refuse(*args):
+        raise AssertionError("run ids formed")
+
+    monkeypatch.setattr(chains_mod, "_report_runs", refuse)
+    for k, t in ((4, 7), (5, 7), (6, 6), (7, 6), (8, 6)):
+        assert verify_transfer(k, t).ok
 
 
 def test_verify_and_structure_build_no_chain(monkeypatch, capsys):
@@ -545,6 +591,57 @@ def test_verify_transfer_keys_match_rows_census(k, t_max, monkeypatch):
     for check, n, actual in seen:
         if check == "square":
             assert actual == census(sym_square(sym_power(k, 2**n - 1))), (k, n)
+
+
+def reference_runs(s):
+    """(group, start, length) triples per kind in the split's order, by
+    pure Python: groups number the odd parts in row order, and each
+    phase takes the maximal runs of its step among what the phases
+    before it left, group by group."""
+    groups = {}
+    for row in s.exponents.tolist():
+        groups.setdefault(tuple(row[1:]), []).append(row[0])
+    leftover = list(enumerate(groups.values()))
+    found = {"A": [], "B": [], "C": []}
+    for kind, step in [("A", 1), ("B", 2)] if s.k == 8 else [("A", 1)]:
+        rest = []
+        for g, e2s in leftover:
+            singles = []
+            for run in _runs(e2s, step):
+                if len(run) >= 2:
+                    found[kind].append((g, run[0], len(run)))
+                else:
+                    singles.extend(run)
+            rest.append((g, singles))
+        leftover = rest
+    found["C"] = [(g, e, 1) for g, e2s in leftover for e in e2s]
+    return found
+
+
+def run_triples(runs):
+    return {kind: list(zip(*(a.tolist() for a in runs[kind]))) for kind in "ABC"}
+
+
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_key_split_pins_groups_and_starts(k):
+    """For every power 2**t - 1 with t <= 6 and its square, the split of
+    the packed keys names the same odd parts and gives the same (group,
+    start, length) arrays per kind as the split of the rows, and both
+    equal a pure-Python split."""
+    kb, maxima = core_mod._base_keys(make_base_set(k), 1)
+    w = max(maxima[0].bit_length(), 1)
+    keys = np.zeros(1, dtype=np.int64)
+    for t in range(7):
+        power = sym_power(k, 2**t - 1)
+        for s, packed in ((power, keys), (sym_square(power), keys * 2)):
+            odd_keys, key_runs = chains_mod._key_runs(packed, w, k)
+            odd_rows, row_runs = chains_mod._chain_runs(s)
+            assert np.array_equal(core_mod._unpack(odd_keys << w, maxima)[:, 1:], odd_rows), (k, t)
+            for kind in "ABC":
+                for a, b in zip(key_runs[kind], row_runs[kind]):
+                    assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), (k, t, kind)
+            assert run_triples(key_runs) == reference_runs(s), (k, t)
+        keys = core_mod._times_keys(keys * 2, kb)
 
 
 def _layout_level(k):

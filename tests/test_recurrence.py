@@ -5,6 +5,7 @@ import io
 import json
 import random
 from itertools import islice
+from math import prod
 
 import numpy as np
 import pytest
@@ -285,6 +286,23 @@ def test_sparse_jumps_equal_the_recurrence_walk():
             assert sparse_term(k, t) == walk[t] == other, (k, t)
             if k <= 7:
                 assert fast_term(k, n) == other, (k, t)
+
+
+def test_fast_term_jumps_between_long_runs():
+    """fast_term visits run lengths past the run table in ascending
+    order, each state a jump from the last or, where that takes more
+    products (127 -> 128, 129 -> 300), a walk from V(0): in any order of
+    the runs of n, with repeats and lengths on both sides of the table's
+    end, it is the product of the sparse terms of the runs, read off
+    the walk."""
+    rng = random.Random(7)
+    walk = {k: list(islice(sparse_terms(k), 301)) for k in range(1, 8)}
+    cases = [range(64, 301), range(1, 201), [63, 64, 65, 64, 300, 1, 127, 128, 129, 63, 2, 300]]
+    for lengths in cases:
+        for order in (list(lengths), rng.sample(list(lengths), len(lengths))):
+            n = int("0".join("1" * length for length in order), 2)
+            for k in range(1, 8):
+                assert fast_term(k, n) == prod(walk[k][length] for length in order), (k, order[:3])
 
 
 def _det(rows):
